@@ -64,6 +64,11 @@
 #      admitted jobs, every planted torn file is detected, and the summed
 #      recovery replay stays under its pinned wall-clock budget), plus the
 #      recovery trace lint.
+#  14. the repo-benchmark leg (perfbench/README.md): perfbench/selftest.py
+#      runs q9_dup10, store_join and service_day tiny on two seeds, traced
+#      and untraced, against the independent reference worker (exits
+#      nonzero unless every job verifies and a corrupted reference fails
+#      every job), covering the between-job hand-off end to end.
 # Usage: scripts/verify.sh [build-dir]   (default: build)
 
 set -euo pipefail
@@ -139,6 +144,10 @@ if command -v python3 > /dev/null; then
     --require-span recovery_replay \
     --require-instant torn_file_detected \
     --require-instant backlog_requeued
+fi
+
+if command -v python3 > /dev/null; then
+  python3 perfbench/selftest.py
 fi
 
 echo "verify: OK"

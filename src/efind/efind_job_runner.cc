@@ -32,12 +32,6 @@ struct EFindJobRunner::RunContext {
 
 namespace {
 
-uint64_t BytesOfView(const std::vector<const InputSplit*>& splits) {
-  uint64_t n = 0;
-  for (const InputSplit* s : splits) n += s->size_bytes();
-  return n;
-}
-
 std::vector<const InputSplit*> MakeView(const std::vector<InputSplit>& splits) {
   std::vector<const InputSplit*> view;
   view.reserve(splits.size());
@@ -118,6 +112,7 @@ class PipelineExecutor {
   /// copied.
   JobConfig Prepare(std::vector<const InputSplit*> input) {
     view_ = std::move(input);
+    view_bytes_ = 0;  // Caller input: the first job pays no boundary.
     view_is_data_ = false;
     reduce_side_ = false;
     for (size_t i = 0; i < conf_.head_ops().size(); ++i) {
@@ -149,8 +144,12 @@ class PipelineExecutor {
   /// Expands only the tail operators as a map-side pipeline over `input`
   /// (dynamic plan change in the middle of the reduce phase, Fig. 10b:
   /// the remaining reduce tasks' outputs flow through the new tail plan).
-  void RunTailPipeline(const std::vector<InputSplit>& input) {
+  /// `input_bytes` is the logical size of `input`, as its reduce tasks
+  /// summed it.
+  void RunTailPipeline(const std::vector<InputSplit>& input,
+                       uint64_t input_bytes) {
     view_ = MakeView(input);
+    view_bytes_ = input_bytes;
     view_is_data_ = false;
     reduce_side_ = false;
     first_job_ = false;  // Input comes from a prior job: boundary applies.
@@ -230,30 +229,34 @@ class PipelineExecutor {
       // adopted artifact is already DFS-resident — no job wrote it this
       // run, so only its retrieval (the map input read) is charged.
       summary.boundary_seconds =
-          config_.DfsStoreSeconds(BytesOfView(view_)) / config_.num_nodes;
+          config_.DfsStoreSeconds(view_bytes_) / config_.num_nodes;
     }
     artifact_adopted_ = false;
 #if EFIND_OBS
     double job_t0 = 0.0;
     if (obs_ != nullptr) {
       obs::TraceRecorder& tr = obs_->trace();
-      const uint64_t boundary_bytes = BytesOfView(view_);
       if (summary.boundary_seconds > 0.0) {
         tr.Span("dfs_boundary", "boundary", tr.clock(),
                 summary.boundary_seconds, obs::kClusterTrack, 0,
-                {{"bytes", std::to_string(boundary_bytes)},
+                {{"bytes", std::to_string(view_bytes_)},
                  {"into_job", cur_.name}});
         tr.AdvanceClock(summary.boundary_seconds);
         obs_->metrics().Add(obs_->metrics().Counter("efind.dfs_boundary_bytes"),
-                            static_cast<double>(boundary_bytes));
+                            static_cast<double>(view_bytes_));
         obs_->metrics().Add(
             obs_->metrics().Counter(std::string("efind.dfs_bytes.") + label),
-            static_cast<double>(boundary_bytes));
+            static_cast<double>(view_bytes_));
       }
       job_t0 = tr.clock();
     }
 #endif
-    JobResult job = job_runner_->Run(cur_, view_);
+    // Intermediate data this executor owns is handed to the job's map
+    // tasks, which consume and release it; caller input is only borrowed.
+    JobResult job = view_is_data_ ? job_runner_->Run(cur_, std::move(data_))
+                                  : job_runner_->Run(cur_, view_);
+    view_.clear();
+    summary.input_bytes = job.input_bytes;
     summary.map_seconds = job.map_seconds;
     summary.reduce_seconds = job.reduce_seconds;
     summary.map_tasks = job.num_map_tasks;
@@ -277,16 +280,17 @@ class PipelineExecutor {
     result_->counters.Merge(job.counters);
     result_->sim_seconds +=
         job.sim_seconds + summary.boundary_seconds;
-    AdoptData(std::move(job.outputs));
+    AdoptData(std::move(job.outputs), job.output_bytes);
     first_job_ = false;
     StartJob();
   }
 
-  /// Takes ownership of `splits` as the current intermediate data and
-  /// points the view at it.
-  void AdoptData(std::vector<InputSplit> splits) {
+  /// Takes ownership of `splits` (`bytes` = their logical size) as the
+  /// current intermediate data and points the view at it.
+  void AdoptData(std::vector<InputSplit> splits, uint64_t bytes) {
     data_ = std::move(splits);
     view_ = MakeView(data_);
+    view_bytes_ = bytes;
     view_is_data_ = true;
   }
 
@@ -302,6 +306,7 @@ class PipelineExecutor {
     }
     data_.clear();
     view_.clear();
+    view_bytes_ = 0;
     view_is_data_ = false;
   }
 
@@ -357,7 +362,8 @@ class PipelineExecutor {
 #endif
     StartJob();
     reduce_side_ = false;
-    AdoptData(std::move(splits));
+    const uint64_t bytes = TotalSizeBytes(splits);
+    AdoptData(std::move(splits), bytes);
     JobStageSummary summary;
     summary.name = conf_.name() + ":reuse:" + op_name;
     summary.boundary_seconds = config_.reuse_resolve_sec + refetch_sec;
@@ -376,7 +382,7 @@ class PipelineExecutor {
     std::vector<InputSplit> copy;
     copy.reserve(view_.size());
     for (const InputSplit* s : view_) copy.push_back(*s);
-    const uint64_t bytes = BytesOfView(view_);
+    const uint64_t bytes = view_bytes_;
     // Benefit estimate for eviction (Eq. 3's shuffle + extra-job terms,
     // from the artifact's actual bytes): what a future hit saves. Derived
     // without statistics so plain RunWithStrategy runs can publish too.
@@ -418,13 +424,15 @@ class PipelineExecutor {
   /// num_partitions-way parallelism (this is why the index being
   /// "replicated to three data nodes" matters). Chunk cuts fall between
   /// records; a group cut in two costs one extra lookup, nothing more.
+  /// The grouped data is always executor-owned here (a shuffle job's output
+  /// or an adopted artifact copy), so records move into their chunks.
   void ResplitForLocality(const PartitionScheme* scheme) {
     uint64_t total_records = 0;
-    for (const InputSplit* split : view_) {
-      total_records += split->records.size();
+    for (const InputSplit& split : data_) {
+      total_records += split.records.size();
     }
     std::vector<InputSplit> resplit;
-    for (size_t r = 0; r < view_.size(); ++r) {
+    for (size_t r = 0; r < data_.size(); ++r) {
       const int p = static_cast<int>(r);
       // Failure-aware placement: skip replica hosts that are down for
       // the whole run — their chunks would only lose locality later.
@@ -442,7 +450,7 @@ class PipelineExecutor {
         }
       }
       if (hosts.empty()) hosts.push_back(p % config_.num_nodes);
-      const auto& records = view_[r]->records;
+      auto& records = data_[r].records;
       const size_t n_rec = records.size();
       // Chunk count proportional to the partition's share of the data
       // (big partitions = more HDFS chunks), so skewed partitions do
@@ -462,14 +470,15 @@ class PipelineExecutor {
         chunk.node = hosts[c % hosts.size()];
         const size_t from = n_rec * c / n_chunks;
         const size_t to = n_rec * (c + 1) / n_chunks;
-        chunk.records.assign(records.begin() + from,
-                             records.begin() + to);
+        chunk.records.assign(
+            std::make_move_iterator(records.begin() + from),
+            std::make_move_iterator(records.begin() + to));
         if (!chunk.records.empty() || c == 0) {
           resplit.push_back(std::move(chunk));
         }
       }
     }
-    AdoptData(std::move(resplit));
+    AdoptData(std::move(resplit), view_bytes_);
     cur_.map_input_remote = true;
   }
 
@@ -732,8 +741,14 @@ class PipelineExecutor {
   /// Intermediate splits owned by the executor (outputs of the last job),
   /// when `view_is_data_`. `view_` is what the next job reads — it points
   /// either into `data_` or into caller-owned splits (zero-copy input).
+  /// The next job takes `data_` over (its map tasks consume and release
+  /// the splits); caller-owned splits are only ever read.
   std::vector<InputSplit> data_;
   std::vector<const InputSplit*> view_;
+  /// Logical bytes of `view_` (`TotalSizeBytes`), carried from the job
+  /// that produced it — the next job's DFS-boundary charge. 0 for the
+  /// caller's input, which the first job reads without a boundary.
+  uint64_t view_bytes_ = 0;
   bool view_is_data_ = false;
   bool reduce_side_ = false;
   bool first_job_ = true;
@@ -1177,7 +1192,7 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
       EFindRunResult sub;
       PipelineExecutor px3(&job_runner_, config_, options_, conf, tail_plan,
                            rc.get(), &tail_stats, &sub, &failover_);
-      px3.RunTailPipeline(wave2.outputs);
+      px3.RunTailPipeline(wave2.outputs, wave2.total_output_bytes());
       elapsed += sub.sim_seconds;
       for (auto& j : sub.jobs) result.jobs.push_back(j);
       result.counters.Merge(sub.counters);

@@ -73,6 +73,9 @@ struct JobStageSummary {
   double boundary_seconds = 0.0;
   size_t map_tasks = 0;
   size_t reduce_tasks = 0;
+  /// Logical bytes this job's map tasks read (0 for reuse adoptions). A DFS
+  /// boundary into this job charged exactly these bytes.
+  uint64_t input_bytes = 0;
   /// Per-task demand profile (fault-inflated durations and their fault-free
   /// speculative-backup counterparts), parallel per phase. The multi-tenant
   /// job service replays these at task granularity to interleave waves from

@@ -54,7 +54,7 @@ Status KvStore::Put(const std::string& key, IndexValue value) {
 
 Status KvStore::Get(std::string_view key, std::vector<IndexValue>* out) const {
   const auto& part = partitions_[scheme_.PartitionOf(key)];
-  auto it = part.find(std::string(key));
+  auto it = part.find(key);
   if (it == part.end()) return Status::NotFound();
   *out = it->second;
   return Status::OK();
@@ -62,7 +62,7 @@ Status KvStore::Get(std::string_view key, std::vector<IndexValue>* out) const {
 
 bool KvStore::Contains(std::string_view key) const {
   const auto& part = partitions_[scheme_.PartitionOf(key)];
-  return part.find(std::string(key)) != part.end();
+  return part.find(key) != part.end();
 }
 
 size_t KvStore::num_keys() const {

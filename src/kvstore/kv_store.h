@@ -11,6 +11,7 @@
 #define EFIND_KVSTORE_KV_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -104,10 +105,21 @@ class KvStore {
   KvStoreOptions options_;
   HashPartitionScheme scheme_;
   uint64_t version_ = 0;
+  /// `std::hash<std::string>` for `std::string_view` probes too (the two
+  /// hash identical bytes identically), so `Get`/`Contains` look keys up
+  /// without building a temporary `std::string`.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
   /// partitions_[p] = the hash table of partition p. Replication is a
   /// placement property (scheme_), not duplicated storage, since replicas
   /// are byte-identical by construction.
-  std::vector<std::unordered_map<std::string, std::vector<IndexValue>>>
+  std::vector<std::unordered_map<std::string, std::vector<IndexValue>,
+                                 KeyHash, std::equal_to<>>>
       partitions_;
 };
 

@@ -91,8 +91,16 @@ struct ReducePhaseResult {
   /// Fault-free counterparts of `durations` (speculative backup speed).
   std::vector<double> base_durations;
   std::vector<Counters> task_counters;
+  /// Logical bytes of each output split (`InputSplit::size_bytes`), summed
+  /// by the task that wrote it.
+  std::vector<uint64_t> output_bytes;
   PhaseSchedule schedule;
   double makespan() const { return schedule.makespan; }
+  uint64_t total_output_bytes() const {
+    uint64_t n = 0;
+    for (uint64_t b : output_bytes) n += b;
+    return n;
+  }
 };
 
 /// Aggregate result of `JobRunner::Run`.
@@ -123,6 +131,12 @@ struct JobResult {
 
   size_t num_map_tasks = 0;
   size_t num_reduce_tasks = 0;
+
+  /// Logical bytes the map tasks read and the output tasks wrote, summed by
+  /// the tasks themselves. `output_bytes` equals `TotalSizeBytes(outputs)`,
+  /// so a follow-up job can be charged for its input without re-walking it.
+  uint64_t input_bytes = 0;
+  uint64_t output_bytes = 0;
 
   /// Speculative execution totals across both phases (0 when disabled).
   size_t speculative_launched = 0;

@@ -41,6 +41,16 @@ const CounterHandle kShuffleRecords("mr.shuffle.records");
 const CounterHandle kShuffleBatchBytes("mr.shuffle.batch_bytes");
 const CounterHandle kShuffleChecksumMismatch("mr.shuffle.checksum_mismatch");
 
+// A map task's view of one input record: moved out of a split the task
+// owns, copied from a caller-owned one.
+Record&& Hand(Record& r) { return std::move(r); }
+const Record& Hand(const Record& r) { return r; }
+
+// Frees an owned split's records inside the strand of the task that read
+// them; a caller-owned split is left as it is.
+void Release(InputSplit& split) { std::vector<Record>().swap(split.records); }
+void Release(const InputSplit&) {}
+
 bool ResolveBatchShuffle() {
   const char* env = std::getenv("EFIND_BATCH_SHUFFLE");
   if (env == nullptr || *env == '\0') return true;
@@ -221,9 +231,9 @@ void JobRunner::RunStrands(size_t count,
   pool_->Wait();
 }
 
+template <typename Split>
 MapTaskResult JobRunner::RunMapTaskDeferred(const JobConfig& job,
-                                            const InputSplit& split,
-                                            int task_index,
+                                            Split& split, int task_index,
                                             TaskStateBag* bag) {
   // Batching applies to jobs with a reduce phase; map-only output is
   // consumed as `std::vector<Record>` splits either way, so the legacy
@@ -243,13 +253,14 @@ MapTaskResult JobRunner::RunMapTaskDeferred(const JobConfig& job,
   chain.Begin();
 
   double cpu = 0.0;
-  for (const Record& r : split.records) {
+  for (auto& r : split.records) {
     result.input_bytes += r.size_bytes();
     ++result.input_records;
     cpu += config_.cpu_per_record_sec +
            config_.cpu_per_byte_sec * static_cast<double>(r.size_bytes());
-    chain.Push(r);
+    chain.Push(Hand(r));
   }
+  Release(split);
   chain.Finish();
 
   // Partition the map output. A salting partitioner cycles hot keys through
@@ -284,8 +295,8 @@ MapTaskResult JobRunner::RunMapTaskDeferred(const JobConfig& job,
   return result;
 }
 
-MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
-                                           const InputSplit& split,
+template <typename Split>
+MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job, Split& split,
                                            int task_index, TaskStateBag* bag) {
   MapTaskResult result;
   result.node = split.node;
@@ -323,9 +334,10 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
   if (job.map_stages.empty()) {
     // Stage-less fast path: re-partition legs are pure data movement, so
     // input records go straight into the per-bucket batches — no stage
-    // chain, no per-record std::string copies at all. Charge accumulation
-    // matches the legacy path exactly: every input charge first, then
-    // every output charge, in the same record order.
+    // chain, no per-record std::string copies at all (an owned split hands
+    // its attachments over and is released after the sweep). Charge
+    // accumulation matches the legacy path exactly: every input charge
+    // first, then every output charge, in the same record order.
     uint64_t payload = 0;
     for (const Record& r : split.records) {
       result.input_bytes += r.size_bytes();
@@ -341,7 +353,7 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
         b.Reserve(est_records, est_bytes);
       }
     }
-    for (const Record& r : split.records) {
+    for (auto& r : split.records) {
       const uint64_t bytes = r.size_bytes();
       result.output_bytes += bytes;
       ++result.output_records;
@@ -353,21 +365,23 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
                                                             num_partitions)
                                  : part.Partition(r.key, num_partitions);
       RecordBatch& bucket = result.partitioned_batches[p];
-      bucket.Append(r.key, r.value, r.extra_bytes, r.attachment, h);
+      bucket.Append(r.key, r.value, r.extra_bytes, Hand(r).attachment, h);
       ChecksumBatchRecord(&digests[p], bucket, bucket.size() - 1);
     }
+    Release(split);
   } else {
     RecordBatch staging(&arena);
     StageChain chain(&job.map_stages, &ctx, &staging);
     chain.Begin();
 
-    for (const Record& r : split.records) {
+    for (auto& r : split.records) {
       result.input_bytes += r.size_bytes();
       ++result.input_records;
       cpu += config_.cpu_per_record_sec +
              config_.cpu_per_byte_sec * static_cast<double>(r.size_bytes());
-      chain.Push(r);
+      chain.Push(Hand(r));
     }
+    Release(split);
     chain.Finish();
 
     // Fused sweep: partition mapping, per-bucket content digest, and byte
@@ -455,6 +469,13 @@ MapPhaseResult JobRunner::RunMapPhase(const JobConfig& job,
 MapPhaseResult JobRunner::RunMapPhase(
     const JobConfig& job, const std::vector<const InputSplit*>& input,
     size_t begin, size_t end) {
+  return RunMapPhaseOver(job, input, begin, end);
+}
+
+template <typename Split>
+MapPhaseResult JobRunner::RunMapPhaseOver(const JobConfig& job,
+                                          const std::vector<Split*>& input,
+                                          size_t begin, size_t end) {
   MapPhaseResult phase;
   if (end > input.size()) end = input.size();
   if (begin > end) begin = end;
@@ -524,6 +545,7 @@ ReducePhaseResult JobRunner::RunReduceRange(
   phase.durations.resize(count, 0.0);
   phase.base_durations.resize(count, 0.0);
   phase.task_counters.resize(count);
+  phase.output_bytes.resize(count, 0);
   std::vector<TaskStateBag> bags(count);
 
   // Batched gather: group `string_view` keys pointing straight into the
@@ -692,6 +714,7 @@ ReducePhaseResult JobRunner::RunReduceRange(
     const uint64_t out_bytes = BytesOf(sink);
     cpu += config_.cpu_per_byte_sec * static_cast<double>(out_bytes);
     phase.outputs[slot].records = std::move(sink);
+    phase.output_bytes[slot] = out_bytes;
 
     phase.base_durations[slot] =
         config_.task_startup_sec + config_.TransferSeconds(received_bytes) +
@@ -764,6 +787,7 @@ ReducePhaseResult JobRunner::RunReduceRange(
     const uint64_t out_bytes = BytesOf(sink);
     cpu += config_.cpu_per_byte_sec * static_cast<double>(out_bytes);
     phase.outputs[slot].records = std::move(sink);
+    phase.output_bytes[slot] = out_bytes;
 
     // Time model: startup + shuffle transfer of the received bytes +
     // CPU + stage-charged time + writing the final output.
@@ -816,8 +840,25 @@ JobResult JobRunner::Run(const JobConfig& job,
 
 JobResult JobRunner::Run(const JobConfig& job,
                          const std::vector<const InputSplit*>& input) {
+  return RunOver(job, input);
+}
+
+JobResult JobRunner::Run(const JobConfig& job,
+                         std::vector<InputSplit>&& input) {
+  // Taken over here so the caller's vector is left empty; the splits it
+  // held are emptied by their map tasks, leaving only the shells to free.
+  std::vector<InputSplit> owned = std::move(input);
+  std::vector<InputSplit*> view;
+  view.reserve(owned.size());
+  for (auto& s : owned) view.push_back(&s);
+  return RunOver(job, view);
+}
+
+template <typename Split>
+JobResult JobRunner::RunOver(const JobConfig& job,
+                             const std::vector<Split*>& input) {
   JobResult result;
-  MapPhaseResult map_phase = RunMapPhase(job, input, 0, input.size());
+  MapPhaseResult map_phase = RunMapPhaseOver(job, input, 0, input.size());
   result.num_map_tasks = map_phase.tasks.size();
   result.map_seconds = map_phase.makespan();
   result.speculative_launched += map_phase.schedule.speculative_launched;
@@ -828,6 +869,7 @@ JobResult JobRunner::Run(const JobConfig& job,
     result.map_task_counters.push_back(t.counters);
     result.map_task_durations.push_back(t.duration);
     result.map_task_base_durations.push_back(t.base_duration);
+    result.input_bytes += t.input_bytes;
   }
 
   if (job.reducer || !job.reduce_stages.empty()) {
@@ -844,6 +886,7 @@ JobResult JobRunner::Run(const JobConfig& job,
     for (const auto& c : reduce_phase.task_counters) result.counters.Merge(c);
     result.reduce_task_durations = reduce_phase.durations;
     result.reduce_task_base_durations = reduce_phase.base_durations;
+    result.output_bytes = reduce_phase.total_output_bytes();
     result.outputs = std::move(reduce_phase.outputs);
   } else {
     // Map-only job: each map task's single bucket becomes an output split
@@ -855,6 +898,7 @@ JobResult JobRunner::Run(const JobConfig& job,
         split.records = std::move(t.partitioned_output[0]);
       }
       result.outputs.push_back(std::move(split));
+      result.output_bytes += t.output_bytes;
     }
   }
 

@@ -70,12 +70,19 @@ class JobRunner {
   bool batch_shuffle() const { return batch_shuffle_; }
 
   /// Runs the whole job: map phase over `input`, then (if a reducer is
-  /// configured) shuffle + reduce phase.
+  /// configured) shuffle + reduce phase. `input` is caller-owned and only
+  /// read: map tasks copy each record into their stage chains.
   JobResult Run(const JobConfig& job, const std::vector<InputSplit>& input);
-  /// As above over a borrowed view of splits (no copies; pointers must stay
-  /// valid for the duration of the call).
+  /// As above over a borrowed view of splits (no split copies; pointers must
+  /// stay valid for the duration of the call).
   JobResult Run(const JobConfig& job,
                 const std::vector<const InputSplit*>& input);
+  /// As above over splits the runner takes ownership of (the previous job's
+  /// output in a multi-job pipeline): each map task moves its split's
+  /// records into its stage chain and releases the split in its own strand,
+  /// so no record is copied and nothing is left to tear down after the job.
+  /// Outputs, counters and simulated times equal the borrowed overloads'.
+  JobResult Run(const JobConfig& job, std::vector<InputSplit>&& input);
 
   /// Executes one map task over `split` as task `task_index`. The task is
   /// placed on `split.node` unless the job requests remote input.
@@ -130,19 +137,34 @@ class JobRunner {
  private:
   int ReduceTaskNode(const JobConfig& job, int reduce_index) const;
 
+  // The task-level bodies are shared by borrowed and owned input: `Split`
+  // is `const InputSplit` (records are copied, the split is left as is) or
+  // `InputSplit` (records are moved out and the split is released by the
+  // task that read it). That copy-versus-move is the only difference.
+
+  /// Whole job over `input` (see the public Run overloads).
+  template <typename Split>
+  JobResult RunOver(const JobConfig& job, const std::vector<Split*>& input);
+
+  /// Map tasks for `input[begin, end)`, scheduled (see RunMapPhase).
+  template <typename Split>
+  MapPhaseResult RunMapPhaseOver(const JobConfig& job,
+                                 const std::vector<Split*>& input,
+                                 size_t begin, size_t end);
+
   /// RunMapTask with the task's deferred state handed back to the caller
   /// instead of merged immediately (the engine merges bags in task order).
-  MapTaskResult RunMapTaskDeferred(const JobConfig& job,
-                                   const InputSplit& split, int task_index,
-                                   TaskStateBag* bag);
+  template <typename Split>
+  MapTaskResult RunMapTaskDeferred(const JobConfig& job, Split& split,
+                                   int task_index, TaskStateBag* bag);
 
   /// Batched variant of RunMapTaskDeferred: stage output lands in an
   /// arena-backed contiguous batch, then one fused sweep partitions it into
   /// per-bucket heap batches while computing content digests and byte
   /// accounting (DESIGN.md §11).
-  MapTaskResult RunMapTaskBatched(const JobConfig& job,
-                                  const InputSplit& split, int task_index,
-                                  TaskStateBag* bag);
+  template <typename Split>
+  MapTaskResult RunMapTaskBatched(const JobConfig& job, Split& split,
+                                  int task_index, TaskStateBag* bag);
 
   /// Executes `body(i)` for every i in [0, count). Tasks sharing a strand
   /// key run serially in ascending i on one thread; distinct strands run

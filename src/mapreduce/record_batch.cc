@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 namespace efind {
@@ -51,7 +52,7 @@ char* RecordBatch::EnsureRoom(size_t bytes) {
       if (buf_size_ > 0) std::memcpy(grown, buf_, buf_size_);
       buf_ = grown;
     } else {
-      auto grown = std::make_unique<char[]>(cap);
+      auto grown = std::make_unique_for_overwrite<char[]>(cap);
       ++heap_allocations_;
       if (buf_size_ > 0) std::memcpy(grown.get(), buf_, buf_size_);
       owned_ = std::move(grown);

@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "mapreduce/job_runner.h"
+#include "obs/obs.h"
+#include "reuse/materialized_store.h"
 #include "tests/test_util.h"
 
 namespace efind {
@@ -198,6 +203,537 @@ TEST(JobRunnerDeterminismTest, PlainJobMatchesAcrossThreadCounts) {
     EXPECT_EQ(a.outputs[i].node, b.outputs[i].node);
     EXPECT_EQ(a.outputs[i].records, b.outputs[i].records);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Input ownership (DESIGN.md §6, §11). Caller-owned splits are read-only for
+// the whole run; executor-owned intermediate splits are handed to the map
+// tasks that read them, which move the records into their stage chains and
+// release the split in their own strand. The cases below pin that the
+// hand-off changes nothing observable: the caller's input is byte-identical
+// after every entry point, and outputs, simulated seconds, counters,
+// statistics and job summaries equal golden digests taken on the engine that
+// copied every intermediate record instead.
+
+/// FNV-1a over everything a run exposes, doubles by bit pattern.
+class Digest {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h_ = (h_ ^ p[i]) * 0x100000001b3ull;
+    }
+  }
+  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
+  void F64(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    U64(bits);
+  }
+  void Str(const std::string& s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
+
+  void Rec(const Record& r) {
+    Str(r.key);
+    Str(r.value);
+    U64(r.extra_bytes);
+    U64(r.attachment ? 1 : 0);
+    if (!r.attachment) return;
+    const RecordAttachment& a = *r.attachment;
+    U64(a.keys.size());
+    for (const auto& ks : a.keys) {
+      U64(ks.size());
+      for (const auto& k : ks) Str(k);
+    }
+    U64(a.results.size());
+    for (const auto& per_key : a.results) {
+      U64(per_key.size());
+      for (const auto& ivs : per_key) {
+        U64(ivs.size());
+        for (const auto& iv : ivs) {
+          Str(iv.data);
+          U64(iv.extra_bytes);
+        }
+      }
+    }
+    Str(a.saved_key);
+    U64(a.has_saved_key ? 1 : 0);
+  }
+  void Splits(const std::vector<InputSplit>& splits) {
+    U64(splits.size());
+    for (const auto& s : splits) {
+      U64(static_cast<uint64_t>(s.node));
+      U64(s.records.size());
+      for (const auto& r : s.records) Rec(r);
+    }
+  }
+  void Doubles(const std::vector<double>& v) {
+    U64(v.size());
+    for (double d : v) F64(d);
+  }
+  void Stats(const std::vector<OperatorStats>& group) {
+    U64(group.size());
+    for (const auto& st : group) {
+      F64(st.n1);
+      F64(st.s1);
+      F64(st.spre);
+      F64(st.spost);
+      F64(st.smap);
+      U64(st.tasks_sampled);
+      F64(st.max_cov);
+      U64(st.valid ? 1 : 0);
+      U64(st.index.size());
+      for (const auto& ix : st.index) {
+        F64(ix.nik);
+        F64(ix.sik);
+        F64(ix.siv);
+        F64(ix.tj);
+        F64(ix.theta);
+        F64(ix.miss_ratio);
+        U64(ix.repartitionable ? 1 : 0);
+        F64(ix.max_key_share);
+        U64(ix.hot_keys.size());
+        for (uint64_t k : ix.hot_keys) U64(k);
+        U64(static_cast<uint64_t>(ix.salt_fanout));
+        F64(ix.avail_excess);
+        F64(ix.down_share);
+        F64(ix.failover_share);
+      }
+    }
+  }
+  void Collected(const CollectedStats& stats) {
+    Stats(stats.head);
+    Stats(stats.body);
+    Stats(stats.tail);
+  }
+  void Run(const EFindRunResult& r) {
+    Splits(r.outputs);
+    F64(r.sim_seconds);
+    F64(r.stats_wave_seconds);
+    U64(r.replanned ? 1 : 0);
+    Str(r.plan.ToString());
+    for (const auto& [name, value] : r.counters.values()) {
+      Str(name);
+      F64(value);
+    }
+    U64(r.jobs.size());
+    for (const auto& j : r.jobs) {
+      Str(j.name);
+      F64(j.map_seconds);
+      F64(j.reduce_seconds);
+      F64(j.boundary_seconds);
+      U64(j.map_tasks);
+      U64(j.reduce_tasks);
+      Doubles(j.map_task_durations);
+      Doubles(j.map_task_base_durations);
+      Doubles(j.reduce_task_durations);
+      Doubles(j.reduce_task_base_durations);
+    }
+    Collected(r.stats);
+  }
+
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+uint64_t DigestOf(const EFindRunResult& r) {
+  Digest d;
+  d.Run(r);
+  return d.value();
+}
+
+uint64_t DigestOf(const CollectedStats& s) {
+  Digest d;
+  d.Collected(s);
+  return d.value();
+}
+
+uint64_t DigestOf(const std::vector<InputSplit>& splits) {
+  Digest d;
+  d.Splits(splits);
+  return d.value();
+}
+
+/// Two chained head joins over distinct indices of the toy store, plus (with
+/// a reducer) a tail join over the reducer's output: uniform re-partitioning
+/// turns this into four or five jobs, each reading the previous job's
+/// executor-owned output.
+IndexJobConf MakeChainJob(const ToyWorld& world, bool with_reduce) {
+  IndexJobConf conf;
+  conf.set_name("toy_chain");
+  for (const char* index : {"toy_a", "toy_b"}) {
+    auto op = std::make_shared<testing_util::JoinOperator>();
+    op->AddIndex(
+        std::make_shared<KvIndexAccessor>(index, world.store.get()));
+    conf.AddHeadIndexOperator(op);
+  }
+  if (with_reduce) {
+    conf.SetReducer(std::make_shared<testing_util::CountReducer>());
+    auto tail = std::make_shared<testing_util::JoinOperator>();
+    tail->AddIndex(
+        std::make_shared<KvIndexAccessor>("toy_c", world.store.get()));
+    conf.AddTailIndexOperator(tail);
+  }
+  return conf;
+}
+
+/// The caller's splits with every attachment handle, compared after a run:
+/// the contents must match and the handles must still be the caller's own.
+struct InputSnapshot {
+  explicit InputSnapshot(const std::vector<InputSplit>& input)
+      : copy(input), digest(DigestOf(input)) {}
+
+  void ExpectUnchanged(const std::vector<InputSplit>& input,
+                       const std::string& what) const {
+    EXPECT_EQ(DigestOf(input), digest) << what;
+    ASSERT_EQ(input.size(), copy.size()) << what;
+    for (size_t i = 0; i < input.size(); ++i) {
+      EXPECT_EQ(input[i].node, copy[i].node) << what << " split " << i;
+      ASSERT_EQ(input[i].records, copy[i].records) << what << " split " << i;
+      for (size_t k = 0; k < input[i].records.size(); ++k) {
+        EXPECT_EQ(input[i].records[k].attachment, copy[i].records[k].attachment)
+            << what << " split " << i << " record " << k;
+      }
+    }
+  }
+
+  std::vector<InputSplit> copy;
+  uint64_t digest;
+};
+
+/// Caller input whose records already carry attachments (a prior pipeline's
+/// in-flight state), so a stage that mutated a shared attachment in place
+/// would show up in the caller's splits.
+std::vector<InputSplit> WithAttachments(std::vector<InputSplit> input) {
+  int n = 0;
+  for (auto& split : input) {
+    for (auto& r : split.records) {
+      if (n++ % 3 != 0) continue;
+      auto a = std::make_shared<RecordAttachment>();
+      a->saved_key = "orig" + std::to_string(n);
+      r.attachment = std::move(a);
+    }
+  }
+  return input;
+}
+
+struct GoldenCase {
+  std::string name;
+  uint64_t digest;
+};
+
+/// Runs every entry point over `input` at `threads`, checking after each
+/// that the caller's splits are untouched, and returns the per-case digests.
+std::vector<GoldenCase> RunAllEntryPoints(const IndexJobConf& conf,
+                                          const std::vector<InputSplit>& input,
+                                          const std::vector<InputSplit>& dyn,
+                                          int threads) {
+  ClusterConfig config;
+  EFindOptions options;
+  options.cache_capacity = 64;
+  options.threads = threads;
+  EFindJobRunner runner(config, options);
+  const InputSnapshot snap(input);
+  const InputSnapshot dyn_snap(dyn);
+  const std::string at = " threads=" + std::to_string(threads);
+  std::vector<GoldenCase> out;
+  for (Strategy s : {Strategy::kBaseline, Strategy::kLookupCache,
+                     Strategy::kRepartition, Strategy::kIndexLocality}) {
+    const std::string name = std::string("strategy:") + ToString(s);
+    out.push_back({name, DigestOf(runner.RunWithStrategy(conf, input, s))});
+    snap.ExpectUnchanged(input, name + at);
+  }
+  const CollectedStats stats = runner.CollectStatistics(conf, input);
+  out.push_back({"collect", DigestOf(stats)});
+  snap.ExpectUnchanged(input, "collect" + at);
+  const JobPlan plan = runner.PlanFromStats(conf, stats);
+  out.push_back({"optimized", DigestOf(runner.RunWithPlan(conf, input, plan,
+                                                          &stats))});
+  snap.ExpectUnchanged(input, "optimized" + at);
+  out.push_back(
+      {"salted", DigestOf(runner.RunWithPlan(
+                     conf, input,
+                     MakeUniformPlan(conf, Strategy::kSaltedRepartition),
+                     &stats))});
+  snap.ExpectUnchanged(input, "salted" + at);
+  out.push_back({"dynamic", DigestOf(runner.RunDynamic(conf, dyn))});
+  dyn_snap.ExpectUnchanged(dyn, "dynamic" + at);
+  return out;
+}
+
+std::string Describe(const std::vector<GoldenCase>& cases) {
+  std::string s;
+  char buf[64];
+  for (const auto& c : cases) {
+    std::snprintf(buf, sizeof(buf), "0x%016llxull",
+                  static_cast<unsigned long long>(c.digest));
+    s += "  {\"" + c.name + "\", " + buf + "},\n";
+  }
+  return s;
+}
+
+void ExpectGolden(const std::vector<GoldenCase>& golden,
+                  const std::vector<GoldenCase>& actual,
+                  const std::string& what) {
+  ASSERT_EQ(golden.size(), actual.size()) << what << "\n" << Describe(actual);
+  for (size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(golden[i].name, actual[i].name) << what;
+    EXPECT_EQ(golden[i].digest, actual[i].digest)
+        << what << " case " << actual[i].name << "\nactual:\n"
+        << Describe(actual);
+  }
+}
+
+// Digests of the artifact a cold run publishes (the grouped output of the
+// join's re-partitioning shuffle), by layout.
+constexpr uint64_t kRepartArtifactDigest = 0x412f2a84d19dc5caull;
+constexpr uint64_t kIdxlocArtifactDigest = 0x2b53c383cee1de4cull;
+
+struct OwnershipParam {
+  const char* name;
+  bool chain;
+  bool with_reduce;
+};
+
+void PrintTo(const OwnershipParam& p, std::ostream* os) { *os << p.name; }
+
+class OwnershipTest : public ::testing::TestWithParam<OwnershipParam> {};
+
+// Taken on the engine that copied every record into the stage chain and
+// tore the previous job's splits down on the orchestration thread.
+const std::vector<GoldenCase>& GoldenFor(const OwnershipParam& p) {
+  static const std::vector<GoldenCase> kJoinMapOnly = {
+      {"strategy:base", 0x433e2e4d68d7d9a2ull},
+      {"strategy:cache", 0x818d238c1718188dull},
+      {"strategy:repart", 0xaa73f51984c9f777ull},
+      {"strategy:idxloc", 0x8c80cb11d38bf1faull},
+      {"collect", 0xf473dfb75b678b92ull},
+      {"optimized", 0x818d238c1718188dull},
+      {"salted", 0xbea4849731ae5d88ull},
+      {"dynamic", 0xb5b1462978072042ull},
+  };
+  static const std::vector<GoldenCase> kJoinReduce = {
+      {"strategy:base", 0xa8b2f11437258caeull},
+      {"strategy:cache", 0xf00f5c7b045e8f8bull},
+      {"strategy:repart", 0x2956d44ef44dc703ull},
+      {"strategy:idxloc", 0x25f97e377b5e68c5ull},
+      {"collect", 0xf473dfb75b678b92ull},
+      {"optimized", 0xf00f5c7b045e8f8bull},
+      {"salted", 0x221dc5844d3a3e7eull},
+      {"dynamic", 0x138bf82d60c5d447ull},
+  };
+  static const std::vector<GoldenCase> kChainMapOnly = {
+      {"strategy:base", 0x9cc9cd69a3a4bca7ull},
+      {"strategy:cache", 0x21609edbfbe572faull},
+      {"strategy:repart", 0xdb9cf6ebb169df5dull},
+      {"strategy:idxloc", 0xca403c276cab33aeull},
+      {"collect", 0x6721c41eb63b3295ull},
+      {"optimized", 0x21609edbfbe572faull},
+      {"salted", 0xa84a10f3e6bc5680ull},
+      {"dynamic", 0x5885746afda1d0b8ull},
+  };
+  static const std::vector<GoldenCase> kChainReduce = {
+      {"strategy:base", 0x4326c7c236bd8df6ull},
+      {"strategy:cache", 0x50804e26dd116dcaull},
+      {"strategy:repart", 0xb55de5d8b0a683b7ull},
+      {"strategy:idxloc", 0x491e7da0c7d93941ull},
+      {"collect", 0x0061b2dc6c3863fdull},
+      {"optimized", 0x8158ba03f8ac2c17ull},
+      {"salted", 0x30f7cc665dc4da2eull},
+      {"dynamic", 0xedf0b7516656b65dull},
+  };
+  if (p.chain) return p.with_reduce ? kChainReduce : kChainMapOnly;
+  return p.with_reduce ? kJoinReduce : kJoinMapOnly;
+}
+
+TEST_P(OwnershipTest, CallerInputUntouchedAndResultsMatchGolden) {
+  const OwnershipParam& p = GetParam();
+  ToyWorld world;
+  const IndexJobConf conf = p.chain ? MakeChainJob(world, p.with_reduce)
+                                    : world.MakeJoinJob(p.with_reduce);
+  const auto input = WithAttachments(world.MakeZipfInput(30, 40, 400, 1.2));
+  const auto dyn = WithAttachments(world.MakeInput(200, 20, 100));
+  const auto serial = RunAllEntryPoints(conf, input, dyn, 1);
+  const auto parallel = RunAllEntryPoints(conf, input, dyn, 8);
+  ExpectGolden(GoldenFor(p), serial, std::string(p.name) + " threads=1");
+  ExpectGolden(GoldenFor(p), parallel, std::string(p.name) + " threads=8");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pipelines, OwnershipTest,
+    ::testing::Values(OwnershipParam{"JoinMapOnly", false, false},
+                      OwnershipParam{"JoinWithReduce", false, true},
+                      OwnershipParam{"ChainMapOnly", true, false},
+                      OwnershipParam{"ChainWithReduce", true, true}),
+    [](const ::testing::TestParamInfo<OwnershipParam>& info) {
+      return std::string(info.param.name);
+    });
+
+// A published artifact is a copy of the shuffle job's output taken after
+// that job finished; the follow-up job then consumes the executor's own
+// splits. The store's copy must still be the byte-identical grouped output
+// afterwards — also after a warm run adopted it and consumed its copy.
+TEST(OwnershipStoreTest, PublishedArtifactsStayByteIdentical) {
+  ToyWorld world;
+  const IndexJobConf conf = world.MakeJoinJob(/*with_reduce=*/true);
+  const auto input = world.MakeInput(24, 40, 300);
+  ClusterConfig config;
+  for (Strategy s : {Strategy::kRepartition, Strategy::kIndexLocality}) {
+    for (int threads : {1, 8}) {
+      const std::string what = std::string(ToString(s)) +
+                               " threads=" + std::to_string(threads);
+      reuse::MaterializedStore store(64ull << 20, config.num_nodes);
+      EFindOptions options;
+      options.threads = threads;
+      EFindJobRunner runner(config, options);
+      runner.set_reuse(&store);
+      const EFindRunResult cold = runner.RunWithStrategy(conf, input, s);
+      const std::vector<reuse::ArtifactMeta> metas = store.Entries();
+      ASSERT_EQ(metas.size(), 1u) << what;
+      const std::vector<InputSplit>* artifact =
+          store.Resolve(metas[0].fingerprint, nullptr);
+      ASSERT_NE(artifact, nullptr) << what;
+      EXPECT_EQ(reuse::ChecksumSplits(*artifact), metas[0].checksum) << what;
+      EXPECT_EQ(TotalSizeBytes(*artifact), metas[0].bytes) << what;
+      const uint64_t published = DigestOf(*artifact);
+      EXPECT_EQ(published, s == Strategy::kRepartition
+                               ? kRepartArtifactDigest
+                               : kIdxlocArtifactDigest)
+          << what << std::hex << " actual 0x" << published;
+
+      const EFindRunResult warm = runner.RunWithStrategy(conf, input, s);
+      EXPECT_EQ(store.stats().hits, 2u) << what;
+      EXPECT_EQ(testing_util::Sorted(warm.CollectRecords()),
+                testing_util::Sorted(cold.CollectRecords()))
+          << what;
+      artifact = store.Resolve(metas[0].fingerprint, nullptr);
+      ASSERT_NE(artifact, nullptr) << what;
+      EXPECT_EQ(DigestOf(*artifact), published) << what;
+    }
+  }
+}
+
+// Joins the record key against two indices; re-partitioning both gives the
+// operator two shuffles, and only the first is ever served from the store,
+// so a warm run still runs a shuffle job right after the adopted artifact.
+class TwoIndexJoin : public IndexOperator {
+ public:
+  std::string name() const override { return "two_index_join"; }
+  void PreProcess(Record* record, IndexKeyLists* keys) override {
+    (*keys)[0].push_back(record->key);
+    (*keys)[1].push_back(record->key);
+  }
+  void PostProcess(const Record& record, const IndexResultLists& results,
+                   Emitter* out) override {
+    std::string joined = record.value;
+    for (const auto& per_index : results) {
+      joined += ":";
+      joined += per_index.empty() || per_index[0].empty()
+                    ? "<miss>"
+                    : per_index[0][0].data;
+    }
+    out->Emit(Record(record.key, joined));
+  }
+};
+
+// The DFS boundary into each job charges the byte total the producing job's
+// tasks summed, carried to the boundary instead of re-walked there. It must
+// equal what the consuming map tasks actually read (their own per-record
+// sum), including after the index-locality re-split and after adopting a
+// stored artifact; the obs `dfs_boundary` span reports the same bytes.
+TEST(OwnershipBytesTest, CarriedBoundaryBytesEqualTheBytesRead) {
+  ToyWorld world;
+  IndexJobConf two_index;
+  two_index.set_name("toy_two_index");
+  auto op = std::make_shared<TwoIndexJoin>();
+  op->AddIndex(std::make_shared<KvIndexAccessor>("toy_x", world.store.get()));
+  op->AddIndex(std::make_shared<KvIndexAccessor>("toy_y", world.store.get()));
+  two_index.AddHeadIndexOperator(op);
+  two_index.SetReducer(std::make_shared<testing_util::CountReducer>());
+  const IndexJobConf chain = MakeChainJob(world, /*with_reduce=*/true);
+  const auto input = world.MakeZipfInput(30, 40, 400, 1.2);
+  ClusterConfig config;
+  reuse::MaterializedStore store(64ull << 20, config.num_nodes);
+
+  // Returns how many DFS boundaries the run charged.
+  auto check = [&](const std::string& what, auto run) {
+    obs::ObsSession session;
+    EFindOptions options;
+    options.threads = 4;
+    EFindJobRunner runner(config, options);
+    runner.set_reuse(&store);
+    runner.set_obs(&session);
+    const EFindRunResult r = run(runner);
+    int charged = 0;
+    double charged_bytes = 0.0;
+    for (const auto& j : r.jobs) {
+      // Reuse adoptions charge the resolve, not a DFS boundary.
+      if (j.boundary_seconds <= 0.0 ||
+          j.name.find(":reuse:") != std::string::npos) {
+        continue;
+      }
+      ++charged;
+      charged_bytes += static_cast<double>(j.input_bytes);
+      EXPECT_GT(j.input_bytes, 0u) << what << " " << j.name;
+      EXPECT_EQ(j.boundary_seconds,
+                config.DfsStoreSeconds(j.input_bytes) / config.num_nodes)
+          << what << " " << j.name;
+    }
+#if EFIND_OBS
+    int spans = 0;
+    for (const auto& e : session.trace().events()) {
+      if (e.name != "dfs_boundary") continue;
+      ++spans;
+      std::string bytes, into;
+      for (const auto& a : e.args) {
+        if (a.key == "bytes") bytes = a.value;
+        if (a.key == "into_job") into = a.value;
+      }
+      const JobStageSummary* job = nullptr;
+      for (const auto& j : r.jobs) {
+        if (j.name == into) job = &j;
+      }
+      if (job == nullptr) {
+        ADD_FAILURE() << what << ": no job named " << into;
+        continue;
+      }
+      EXPECT_EQ(bytes, std::to_string(job->input_bytes)) << what << " " << into;
+    }
+    EXPECT_EQ(spans, charged) << what;
+    obs::MetricsRegistry& mx = session.metrics();
+    EXPECT_EQ(mx.CounterValue(mx.Counter("efind.dfs_boundary_bytes")),
+              charged_bytes)
+        << what;
+#endif
+    return charged;
+  };
+
+  for (Strategy s : {Strategy::kRepartition, Strategy::kIndexLocality,
+                     Strategy::kSaltedRepartition}) {
+    // The cold round publishes each operator's first shuffle; the warm
+    // round adopts those artifacts (and, under index locality, re-splits
+    // them) and runs everything after them on the executor's own splits.
+    for (const char* round : {"cold", "warm"}) {
+      for (const IndexJobConf* conf :
+           std::vector<const IndexJobConf*>{&chain, &two_index}) {
+        const std::string what =
+            conf->name() + " " + ToString(s) + " " + round;
+        const int charged = check(what, [&](EFindJobRunner& r) {
+          const CollectedStats stats = r.CollectStatistics(*conf, input);
+          return r.RunWithPlan(*conf, input, MakeUniformPlan(*conf, s),
+                               &stats);
+        });
+        if (conf == &two_index || std::string(round) == "cold") {
+          EXPECT_GT(charged, 0) << what;
+        }
+      }
+    }
+  }
+  EXPECT_GT(store.stats().hits, 0u);
 }
 
 }  // namespace

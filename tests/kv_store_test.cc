@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace efind {
@@ -47,6 +49,25 @@ TEST(KvStoreTest, MultipleValuesPerKey) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].data, "v1");
   EXPECT_EQ(out[1].data, "v2");
+}
+
+TEST(KvStoreTest, StringViewProbesNeedNoTerminatedKey) {
+  // Probes are looked up as views: a key slice inside a longer buffer must
+  // find exactly its own entry, and the view hash must bucket like the
+  // owned string the entry was stored under.
+  KvStore store(PaperOptions());
+  store.Put("user1", IndexValue("profile1")).ok();
+  const std::string buffer = "user12";
+  const std::string_view slice(buffer.data(), 5);
+  EXPECT_EQ(std::hash<std::string_view>{}(slice),
+            std::hash<std::string>{}(std::string("user1")));
+  std::vector<IndexValue> out;
+  ASSERT_TRUE(store.Get(slice, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].data, "profile1");
+  EXPECT_TRUE(store.Contains(slice));
+  EXPECT_FALSE(store.Contains(std::string_view(buffer)));
+  EXPECT_FALSE(store.Contains(std::string_view(buffer.data(), 4)));
 }
 
 TEST(KvStoreTest, KeysSpreadAcrossPartitions) {

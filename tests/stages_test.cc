@@ -216,8 +216,10 @@ TEST(GroupedLookupStageTest, LocalLookupsChargeLessTime) {
 }
 
 TEST(PostProcessStageTest, StripsAttachmentAndCallsOperator) {
-  StageHarness h;
+  // Declared first so it outlives the harness's task context, whose
+  // destructor folds the task's statistics into it.
   OperatorRuntime rt(1, 12, 16);
+  StageHarness h;
   PostProcessStage post(h.op, &rt, "efind.t");
   Record rec("k1", "v");
   auto a = std::make_shared<RecordAttachment>();
