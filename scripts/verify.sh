@@ -69,6 +69,12 @@
 #      and untraced, against the independent reference worker (exits
 #      nonzero unless every job verifies and a corrupted reference fails
 #      every job), covering the between-job hand-off end to end.
+#  15. the AddressSanitizer leg (DESIGN.md §6): configures <build-dir>-asan
+#      with -DEFIND_SANITIZE=address and runs flat_index_test,
+#      lru_cache_test, kv_store_test, skew_detector_test, statistics_test
+#      and stages_test there — the flat open-addressing tables'
+#      backward-shift deletion and slot reuse are exactly the out-of-bounds
+#      class ASan catches.
 # Usage: scripts/verify.sh [build-dir]   (default: build)
 
 set -euo pipefail
@@ -149,5 +155,14 @@ fi
 if command -v python3 > /dev/null; then
   python3 perfbench/selftest.py
 fi
+
+ASAN_BUILD="$BUILD-asan"
+ASAN_TESTS=(flat_index_test lru_cache_test kv_store_test skew_detector_test
+  statistics_test stages_test)
+cmake -B "$ASAN_BUILD" -S . -DEFIND_SANITIZE=address
+cmake --build "$ASAN_BUILD" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
+for t in "${ASAN_TESTS[@]}"; do
+  "$ASAN_BUILD"/tests/"$t" --gtest_brief=1
+done
 
 echo "verify: OK"

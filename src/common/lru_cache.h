@@ -6,10 +6,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <string>
-#include <unordered_map>
 #include <utility>
+#include <vector>
+
+#include "common/flat_index.h"
 
 namespace efind {
 
@@ -17,12 +17,20 @@ namespace efind {
 ///
 /// This backs EFind's *lookup cache strategy* (paper Section 3.2): before
 /// invoking `IndexAccessor::lookup` for a key, the runtime probes this cache;
-/// a hit returns the cached result list and skips the (remote) lookup.
+/// a hit returns the cached result list and skips the (remote) lookup. The
+/// statistics collector's key-only shadow caches (paper §4.2) are instances
+/// too.
 ///
 /// The capacity is measured in entries (the paper fixes it at 1024 entries
 /// and leaves size tuning to future work; `bench_ablation_cache_size` sweeps
 /// it). Not thread-safe; in the simulated cluster each node owns one cache
 /// and tasks on a node run sequentially per slot.
+///
+/// Layout: a dense node array linked into a recency list by index, looked
+/// up through a `FlatIndex`. Storage grows with the live entries up to the
+/// capacity; from then on an insert reuses the evicted tail node, so a warm
+/// cache allocates nothing per miss (beyond what copying the key or value
+/// itself needs).
 template <typename Key, typename Value>
 class LruCache {
  public:
@@ -37,13 +45,13 @@ class LruCache {
   /// used), writes the value to `*value`, and returns true.
   bool Get(const Key& key, Value* value) {
     ++probes_;
-    auto it = map_.find(key);
-    if (it == map_.end()) {
+    const uint32_t n = Find(FlatKeyHash(key), key);
+    if (n == FlatIndex::kNone) {
       ++misses_;
       return false;
     }
-    entries_.splice(entries_.begin(), entries_, it->second);
-    *value = it->second->second;
+    MoveToFront(n);
+    *value = nodes_[n].value;
     return true;
   }
 
@@ -51,29 +59,40 @@ class LruCache {
   /// used entry if the cache is full.
   void Put(const Key& key, Value value) {
     if (capacity_ == 0) return;
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      it->second->second = std::move(value);
-      entries_.splice(entries_.begin(), entries_, it->second);
+    const uint64_t hash = FlatKeyHash(key);
+    uint32_t n = Find(hash, key);
+    if (n != FlatIndex::kNone) {
+      nodes_[n].value = std::move(value);
+      MoveToFront(n);
       return;
     }
-    if (entries_.size() >= capacity_) {
-      map_.erase(entries_.back().first);
-      entries_.pop_back();
+    if (nodes_.size() >= capacity_) {
+      // Recycle the least recently used node for the new entry.
+      n = tail_;
+      index_.Erase(nodes_[n].hash, n, HashOf());
+      Unlink(n);
+      Node& node = nodes_[n];
+      node.key = key;
+      node.value = std::move(value);
+      node.hash = hash;
+      index_.Insert(hash, n);
+    } else {
+      n = index_.Append(hash, nodes_.size(), HashOf());
+      nodes_.push_back(Node{key, std::move(value), hash, kNil, kNil});
     }
-    entries_.emplace_front(key, std::move(value));
-    map_[key] = entries_.begin();
+    PushFront(n);
   }
 
   /// Removes all entries and resets hit/miss statistics.
   void Clear() {
-    entries_.clear();
-    map_.clear();
+    nodes_.clear();
+    index_.Clear();
+    head_ = tail_ = kNil;
     probes_ = 0;
     misses_ = 0;
   }
 
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return nodes_.size(); }
   size_t capacity() const { return capacity_; }
 
   /// Total number of Get calls since construction or Clear.
@@ -88,11 +107,52 @@ class LruCache {
   }
 
  private:
-  using Entry = std::pair<Key, Value>;
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  struct Node {
+    Key key;
+    Value value;
+    uint64_t hash;
+    uint32_t prev;  // Towards the most recently used end; kNil at head_.
+    uint32_t next;  // Towards the least recently used end; kNil at tail_.
+  };
+
+  auto HashOf() const {
+    return [this](uint32_t n) { return nodes_[n].hash; };
+  }
+
+  uint32_t Find(uint64_t hash, const Key& key) const {
+    return index_.Find(hash, [&](uint32_t n) {
+      return nodes_[n].hash == hash && nodes_[n].key == key;
+    });
+  }
+
+  void Unlink(uint32_t n) {
+    Node& node = nodes_[n];
+    (node.prev != kNil ? nodes_[node.prev].next : head_) = node.next;
+    (node.next != kNil ? nodes_[node.next].prev : tail_) = node.prev;
+  }
+
+  void PushFront(uint32_t n) {
+    Node& node = nodes_[n];
+    node.prev = kNil;
+    node.next = head_;
+    if (head_ != kNil) nodes_[head_].prev = n;
+    head_ = n;
+    if (tail_ == kNil) tail_ = n;
+  }
+
+  void MoveToFront(uint32_t n) {
+    if (n == head_) return;
+    Unlink(n);
+    PushFront(n);
+  }
 
   size_t capacity_;
-  std::list<Entry> entries_;  // Front = most recently used.
-  std::unordered_map<Key, typename std::list<Entry>::iterator> map_;
+  std::vector<Node> nodes_;  // Every node is live; none is ever freed.
+  FlatIndex index_;
+  uint32_t head_ = kNil;  // Most recently used.
+  uint32_t tail_ = kNil;  // Least recently used.
   uint64_t probes_ = 0;
   uint64_t misses_ = 0;
 };

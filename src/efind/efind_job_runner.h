@@ -48,7 +48,7 @@ struct EFindOptions {
   int salt_fanout = 8;
   /// Minimum share of an operator's lookup-key stream a single key must
   /// hold for the SkewDetector to flag it hot (also guarded against the
-  /// uniform share implied by the FM distinct estimate).
+  /// uniform share implied by the exact distinct count).
   double hot_key_threshold = 0.05;
   /// Worker threads for task execution. 0 (default) resolves via
   /// EFIND_THREADS, else hardware concurrency; results are bit-identical

@@ -34,8 +34,9 @@ void OperatorTaskStats::PreRecord(
     if (keys[j].size() != 1) pi.multi_key_seen = true;
     for (const auto& k : keys[j]) {
       pi.key_bytes += k.size();
-      pi.sketch.Add(k);
-      pi.skew.Observe(Hash64(k));
+      const uint64_t hash = Hash64(k);
+      pi.sketch.AddHash(hash);
+      pi.skew.Observe(hash);
     }
   }
 }
@@ -194,92 +195,6 @@ bool OperatorRuntime::ShadowCacheTouch(int j, int node,
   if (!hit) cache->Put(key, 0);
   return hit;
 }
-
-void OperatorRuntime::PreBeginTask() {
-  task_inputs_ = 0;
-  task_input_bytes_ = 0;
-  task_pre_bytes_ = 0;
-  for (auto& pi : per_index_) pi.task_keys = 0;
-}
-
-void OperatorRuntime::PreRecord(
-    uint64_t input_bytes, uint64_t pre_output_bytes,
-    const std::vector<std::vector<std::string>>& keys) {
-  ++total_inputs_;
-  ++task_inputs_;
-  total_input_bytes_ += input_bytes;
-  task_input_bytes_ += input_bytes;
-  total_pre_bytes_ += pre_output_bytes;
-  task_pre_bytes_ += pre_output_bytes;
-  for (int j = 0; j < num_indices_ && j < static_cast<int>(keys.size());
-       ++j) {
-    PerIndex& pi = per_index_[j];
-    pi.keys += keys[j].size();
-    pi.task_keys += keys[j].size();
-    if (keys[j].size() != 1) pi.multi_key_seen = true;
-    for (const auto& k : keys[j]) {
-      pi.key_bytes += k.size();
-      pi.sketch.Add(k);
-      pi.skew.Observe(Hash64(k));
-    }
-  }
-}
-
-void OperatorRuntime::PreEndTask() {
-  if (task_inputs_ == 0) return;
-  ++pre_tasks_;
-  const double n = static_cast<double>(task_inputs_);
-  inputs_samples_.Add(n);
-  s1_samples_.Add(static_cast<double>(task_input_bytes_) / n);
-  spre_samples_.Add(static_cast<double>(task_pre_bytes_) / n);
-  for (auto& pi : per_index_) {
-    pi.nik_samples.Add(static_cast<double>(pi.task_keys) / n);
-  }
-}
-
-void OperatorRuntime::LookupPerformed(int j, uint64_t key_bytes,
-                                      uint64_t result_bytes,
-                                      double service_sec) {
-  if (j < 0 || j >= num_indices_) return;
-  PerIndex& pi = per_index_[j];
-  ++pi.lookups;
-  (void)key_bytes;  // Key bytes are tracked at extraction time (PreRecord).
-  pi.lookup_result_bytes += result_bytes;
-  pi.service_time += service_sec;
-}
-
-void OperatorRuntime::CacheProbe(int j, bool miss) {
-  if (j < 0 || j >= num_indices_) return;
-  ++per_index_[j].cache_probes;
-  if (miss) ++per_index_[j].cache_misses;
-}
-
-void OperatorRuntime::ShadowProbe(int j, int node, const std::string& key) {
-  if (j < 0 || j >= num_indices_) return;
-  const bool hit = ShadowCacheTouch(j, node, key);
-  CacheProbe(j, /*miss=*/!hit);
-}
-
-void OperatorRuntime::PostBeginTask() {
-  task_post_records_ = 0;
-  task_post_bytes_ = 0;
-}
-
-void OperatorRuntime::PostRecord(uint64_t output_bytes) {
-  ++total_post_records_;
-  ++task_post_records_;
-  total_post_bytes_ += output_bytes;
-  task_post_bytes_ += output_bytes;
-}
-
-void OperatorRuntime::PostEndTask() {
-  if (task_post_records_ == 0) return;
-  ++post_tasks_;
-  spost_samples_.Add(static_cast<double>(task_post_bytes_) /
-                     static_cast<double>(task_post_records_));
-}
-
-void OperatorRuntime::MapOutput(uint64_t bytes) { map_output_bytes_ += bytes; }
 
 OperatorStats OperatorRuntime::Compute(int num_nodes,
                                        double extrapolation) const {

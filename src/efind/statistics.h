@@ -141,7 +141,8 @@ class OperatorTaskStats {
  public:
   explicit OperatorTaskStats(OperatorRuntime* runtime);
 
-  /// One record through preProcess (see OperatorRuntime::PreRecord).
+  /// One record through preProcess: its input size, its post-pre output
+  /// size (record + keys), and per-index extracted keys.
   void PreRecord(uint64_t input_bytes, uint64_t pre_output_bytes,
                  const std::vector<std::vector<std::string>>& keys);
   /// An actual lookup of index `j` returning `result_bytes` with service
@@ -214,14 +215,9 @@ class OperatorTaskStats {
 /// paper's counter-based collection: per-task samples for the variance gate,
 /// OR-merged FM sketches for Theta, and a per-node shadow cache for R.
 ///
-/// Two feeding modes exist:
-///  - Per-task collection (the execution engine): stages call
-///    `TaskLocal(ctx)` and feed the returned `OperatorTaskStats`; the engine
-///    absorbs every task's collector in task-index order, so results are
-///    bit-identical at any thread count. Used by all EFind stages.
-///  - Direct serial hooks (`PreBeginTask`/`PreRecord`/.../`PostEndTask`):
-///    single-threaded convenience API for standalone drivers and tests.
-/// The two modes must not be interleaved within one phase.
+/// Stages call `TaskLocal(ctx)` and feed the returned `OperatorTaskStats`;
+/// the engine absorbs every task's collector in task-index order, so results
+/// are bit-identical at any thread count.
 class OperatorRuntime {
  public:
   /// `num_indices` accessors; `num_nodes` for per-node shadow caches of
@@ -232,41 +228,12 @@ class OperatorRuntime {
   OperatorRuntime(int num_indices, int num_nodes, size_t cache_capacity,
                   double hot_key_threshold = 0.05, int salt_fanout = 8);
 
-  // --- per-task collection (execution engine) ---------------------------
   /// Returns this task's private collector, creating and registering it in
   /// `ctx`'s state bag on first use (with an AbsorbTask merge closure the
   /// engine runs in task-index order).
   OperatorTaskStats* TaskLocal(TaskContext* ctx);
-  /// Folds one task's collected statistics into the shared totals, exactly
-  /// as the serial hook sequence for that task would have.
+  /// Folds one task's collected statistics into the shared totals.
   void AbsorbTask(const OperatorTaskStats& task);
-
-  // --- preProcess-side hooks -------------------------------------------
-  void PreBeginTask();
-  /// One record through preProcess: its input size, its post-pre output
-  /// size (record + keys), and per-index extracted keys.
-  void PreRecord(uint64_t input_bytes, uint64_t pre_output_bytes,
-                 const std::vector<std::vector<std::string>>& keys);
-  void PreEndTask();
-
-  // --- lookup-side hooks ------------------------------------------------
-  /// An actual lookup of index `j` (cache miss or no cache) returning
-  /// `result_bytes` with service time `service_sec`.
-  void LookupPerformed(int j, uint64_t key_bytes, uint64_t result_bytes,
-                       double service_sec);
-  /// A probe of the real lookup cache for index `j`.
-  void CacheProbe(int j, bool miss);
-  /// Probes the shadow (key-only) cache on `node` for index `j` when the
-  /// real cache is not active; records the hit/miss for estimating R.
-  void ShadowProbe(int j, int node, const std::string& key);
-
-  // --- postProcess-side hooks --------------------------------------------
-  void PostBeginTask();
-  void PostRecord(uint64_t output_bytes);
-  void PostEndTask();
-
-  // --- original-Map metering (for Smap of head operators) ----------------
-  void MapOutput(uint64_t bytes);
 
   /// Total operator input records observed so far (pre-side).
   uint64_t total_inputs() const { return total_inputs_; }
@@ -308,9 +275,6 @@ class OperatorRuntime {
     uint64_t uncoalesced_page_reads = 0;
     FmSketch sketch{64};
     SkewDetector skew;
-    // Per-task temporaries (serial hook mode only).
-    uint64_t task_keys = 0;
-    uint64_t task_records_with_one_key = 0;
     RunningStats nik_samples;
     bool multi_key_seen = false;
   };
@@ -328,14 +292,7 @@ class OperatorRuntime {
   uint64_t total_post_bytes_ = 0;
   uint64_t map_output_bytes_ = 0;
 
-  // Per-task temporaries (pre side; serial hook mode only).
-  uint64_t task_inputs_ = 0;
-  uint64_t task_input_bytes_ = 0;
-  uint64_t task_pre_bytes_ = 0;
   size_t pre_tasks_ = 0;
-  // Per-task temporaries (post side; serial hook mode only).
-  uint64_t task_post_records_ = 0;
-  uint64_t task_post_bytes_ = 0;
   size_t post_tasks_ = 0;
 
   RunningStats inputs_samples_;

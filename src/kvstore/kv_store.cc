@@ -15,8 +15,7 @@ HashPartitionScheme::HashPartitionScheme(int num_partitions, int num_nodes,
 }
 
 int HashPartitionScheme::PartitionOf(std::string_view key) const {
-  return static_cast<int>(Hash64(key) %
-                          static_cast<uint64_t>(num_partitions_));
+  return PartitionOfHash(Hash64(key));
 }
 
 int HashPartitionScheme::HostOfPartition(int p) const {
@@ -45,35 +44,53 @@ KvStore::KvStore(const KvStoreOptions& options)
       scheme_(options.num_partitions, options.num_nodes, options.replication),
       partitions_(scheme_.num_partitions()) {}
 
+uint32_t KvStore::Find(const Partition& part, uint64_t hash,
+                       std::string_view key) {
+  return part.index.Find(hash, [&](uint32_t e) {
+    return part.entries[e].hash == hash && part.entries[e].key == key;
+  });
+}
+
 Status KvStore::Put(const std::string& key, IndexValue value) {
   if (key.empty()) return Status::InvalidArgument("empty key");
-  partitions_[scheme_.PartitionOf(key)][key].push_back(std::move(value));
+  const uint64_t hash = Hash64(key);
+  Partition& part = partitions_[scheme_.PartitionOfHash(hash)];
+  uint32_t e = Find(part, hash, key);
+  if (e == FlatIndex::kNone) {
+    e = part.index.Append(hash, part.entries.size(), [&part](uint32_t i) {
+      return part.entries[i].hash;
+    });
+    part.entries.push_back(Entry{key, {}, hash});
+  }
+  part.entries[e].values.push_back(std::move(value));
   ++version_;
   return Status::OK();
 }
 
 Status KvStore::Get(std::string_view key, std::vector<IndexValue>* out) const {
-  const auto& part = partitions_[scheme_.PartitionOf(key)];
-  auto it = part.find(key);
-  if (it == part.end()) return Status::NotFound();
-  *out = it->second;
+  const uint64_t hash = Hash64(key);
+  const Partition& part = partitions_[scheme_.PartitionOfHash(hash)];
+  const uint32_t e = Find(part, hash, key);
+  if (e == FlatIndex::kNone) return Status::NotFound();
+  *out = part.entries[e].values;
   return Status::OK();
 }
 
 bool KvStore::Contains(std::string_view key) const {
-  const auto& part = partitions_[scheme_.PartitionOf(key)];
-  return part.find(key) != part.end();
+  const uint64_t hash = Hash64(key);
+  return Find(partitions_[scheme_.PartitionOfHash(hash)], hash, key) !=
+         FlatIndex::kNone;
 }
 
 size_t KvStore::num_keys() const {
   size_t n = 0;
-  for (const auto& p : partitions_) n += p.size();
+  for (const auto& p : partitions_) n += p.entries.size();
   return n;
 }
 
 size_t KvStore::PartitionKeyCount(int p) const {
   if (p < 0 || p >= static_cast<int>(partitions_.size())) return 0;
-  return partitions_[p].size();
+  return partitions_[p].entries.size();
 }
 
 }  // namespace efind

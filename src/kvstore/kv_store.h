@@ -11,12 +11,11 @@
 #define EFIND_KVSTORE_KV_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "common/partition_scheme.h"
 #include "common/status.h"
 #include "mapreduce/record.h"
@@ -32,6 +31,10 @@ class HashPartitionScheme : public PartitionScheme {
 
   int num_partitions() const override { return num_partitions_; }
   int PartitionOf(std::string_view key) const override;
+  /// The partition of a key whose `Hash64` is `hash`.
+  int PartitionOfHash(uint64_t hash) const {
+    return static_cast<int>(hash % static_cast<uint64_t>(num_partitions_));
+  }
   int HostOfPartition(int p) const override;
   bool NodeHostsPartition(int node, int p) const override;
 
@@ -105,22 +108,29 @@ class KvStore {
   KvStoreOptions options_;
   HashPartitionScheme scheme_;
   uint64_t version_ = 0;
-  /// `std::hash<std::string>` for `std::string_view` probes too (the two
-  /// hash identical bytes identically), so `Get`/`Contains` look keys up
-  /// without building a temporary `std::string`.
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view key) const {
-      return std::hash<std::string_view>{}(key);
-    }
+  struct Entry {
+    std::string key;
+    std::vector<IndexValue> values;
+    uint64_t hash;  // Hash64(key).
   };
+  /// One partition's hash table: a dense entry array behind a `FlatIndex`,
+  /// probed with the same `Hash64` that chose the partition (the index
+  /// re-mixes it, so `hash % num_partitions` being fixed within a partition
+  /// does not cluster its slots).
+  struct Partition {
+    std::vector<Entry> entries;
+    FlatIndex index;
+  };
+
+  /// The entry of `key` (whose `Hash64` is `hash`) in `part`, or
+  /// FlatIndex::kNone.
+  static uint32_t Find(const Partition& part, uint64_t hash,
+                       std::string_view key);
 
   /// partitions_[p] = the hash table of partition p. Replication is a
   /// placement property (scheme_), not duplicated storage, since replicas
   /// are byte-identical by construction.
-  std::vector<std::unordered_map<std::string, std::vector<IndexValue>,
-                                 KeyHash, std::equal_to<>>>
-      partitions_;
+  std::vector<Partition> partitions_;
 };
 
 }  // namespace efind

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/arena.h"
+#include "common/flat_index.h"
 #include "common/hash.h"
 #include "mapreduce/record_batch.h"
 #include "mapreduce/stage_chain.h"
@@ -577,11 +578,12 @@ ReducePhaseResult JobRunner::RunReduceRange(
     }
     std::vector<Loc> locs;
     locs.reserve(total);
-    // Grouping is a single open-addressing pass over the key hashes (which
-    // map-side entries already carry, so key bytes are not re-hashed
-    // here); ties probe on the full key bytes, so 64-bit hash collisions
-    // land in distinct groups. Only the unique keys are sorted afterwards
-    // — O(records) grouping instead of an O(records log records) sort.
+    // Grouping is a single pass over the key hashes (which map-side
+    // entries already carry, so key bytes are not re-hashed here) through a
+    // `FlatIndex`; ties compare the full key bytes, so 64-bit hash
+    // collisions land in distinct groups. Only the unique keys are sorted
+    // afterwards — O(records) grouping instead of an O(records log records)
+    // sort.
     struct Group {
       std::string_view key;  // Points into the map-side shuffle memory.
       uint64_t hash;
@@ -589,25 +591,19 @@ ReducePhaseResult JobRunner::RunReduceRange(
       uint32_t offset;  // Filled by the prefix pass below.
     };
     std::vector<Group> groups;
-    size_t table_size = 16;
-    while (table_size < total * 2) table_size <<= 1;
-    std::vector<uint32_t> table(table_size, 0);  // Group index + 1; 0 empty.
-    const uint64_t table_mask = table_size - 1;
+    FlatIndex table;
     std::vector<uint32_t> group_of;  // Arrival order -> group index.
     group_of.reserve(total);
     auto group_for = [&](uint64_t hash, std::string_view key) -> uint32_t {
-      size_t slot = hash & table_mask;
-      for (;;) {
-        const uint32_t g = table[slot];
-        if (g == 0) {
-          table[slot] = static_cast<uint32_t>(groups.size()) + 1;
-          groups.push_back(Group{key, hash, 0, 0});
-          return static_cast<uint32_t>(groups.size()) - 1;
-        }
-        const Group& cand = groups[g - 1];
-        if (cand.hash == hash && cand.key == key) return g - 1;
-        slot = (slot + 1) & table_mask;
+      uint32_t g = table.Find(hash, [&](uint32_t i) {
+        return groups[i].hash == hash && groups[i].key == key;
+      });
+      if (g == FlatIndex::kNone) {
+        g = table.Append(hash, groups.size(),
+                         [&](uint32_t i) { return groups[i].hash; });
+        groups.push_back(Group{key, hash, 0, 0});
       }
+      return g;
     };
     uint64_t received_bytes = 0;
     size_t received_records = 0;

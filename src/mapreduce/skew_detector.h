@@ -6,20 +6,19 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "common/fm_sketch.h"
+#include "common/flat_index.h"
 
 namespace efind {
 
 /// Heavy-hitter detector over a key stream (DESIGN.md §12).
 ///
-/// Counts exact per-key-hash frequencies and pairs them with the same
-/// Flajolet–Martin sketch the Θ estimator uses, so "hot" is judged both
-/// against an absolute share threshold (the knob) and against the uniform
-/// share implied by the distinct count — a fixed threshold alone would
-/// flag every key of a tiny domain.
+/// Counts exact per-key-hash frequencies in a flat table (a dense
+/// hash/count array behind a `FlatIndex`). "Hot" is judged both against an
+/// absolute share threshold (the knob) and against the uniform share
+/// implied by the exact distinct count — a fixed threshold alone would flag
+/// every key of a tiny domain.
 ///
 /// Determinism: one instance per task, fed in that task's fixed record
 /// order, merged across tasks in task-index order (exact counts make the
@@ -35,16 +34,15 @@ class SkewDetector {
 
   /// Feeds one occurrence of the key with `Hash64` value `key_hash`.
   void Observe(uint64_t key_hash) {
-    ++counts_[key_hash];
+    ++CountOf(key_hash);
     ++total_;
-    sketch_.AddHash(key_hash);
   }
 
-  /// Folds another (per-task) detector into this one.
+  /// Folds another (per-task) detector into this one: one pass over its
+  /// distinct keys.
   void Merge(const SkewDetector& other) {
-    for (const auto& [hash, count] : other.counts_) counts_[hash] += count;
+    for (const HotKey& e : other.counts_) CountOf(e.hash) += e.count;
     total_ += other.total_;
-    sketch_.Merge(other.sketch_);
   }
 
   /// Keys observed on a share of the stream >= `threshold` (and >= a few
@@ -55,10 +53,10 @@ class SkewDetector {
     if (total_ == 0 || threshold <= 0.0) return hot;
     const double floor_share = UniformGuardShare();
     const double min_share = std::max(threshold, floor_share);
-    for (const auto& [hash, count] : counts_) {
+    for (const HotKey& e : counts_) {
       const double share =
-          static_cast<double>(count) / static_cast<double>(total_);
-      if (share >= min_share) hot.push_back({hash, count});
+          static_cast<double>(e.count) / static_cast<double>(total_);
+      if (share >= min_share) hot.push_back(e);
     }
     std::sort(hot.begin(), hot.end(), [](const HotKey& a, const HotKey& b) {
       if (a.count != b.count) return a.count > b.count;
@@ -74,30 +72,38 @@ class SkewDetector {
   double MaxShare() const {
     if (total_ == 0) return 0.0;
     uint64_t max_count = 0;
-    for (const auto& [hash, count] : counts_) {
-      (void)hash;
-      max_count = std::max(max_count, count);
-    }
+    for (const HotKey& e : counts_) max_count = std::max(max_count, e.count);
     return static_cast<double>(max_count) / static_cast<double>(total_);
   }
 
   uint64_t total() const { return total_; }
-  double EstimateDistinct() const { return sketch_.EstimateDistinct(); }
 
  private:
   /// A key only counts as hot when it is at least `kUniformGuard` times
   /// hotter than a perfectly uniform key would be. Uses the exact distinct
-  /// count (the counts map is exact anyway); the FM sketch's estimate is
-  /// too noisy at the tiny cardinalities this guard exists for.
+  /// count: an estimate would be too noisy at the tiny cardinalities this
+  /// guard exists for.
   double UniformGuardShare() const {
     static constexpr double kUniformGuard = 4.0;
     const double distinct = std::max<double>(1.0, counts_.size());
     return std::min(1.0, kUniformGuard / distinct);
   }
 
-  std::unordered_map<uint64_t, uint64_t> counts_;
+  /// The count of `hash`, inserted at 0 when first seen.
+  uint64_t& CountOf(uint64_t hash) {
+    uint32_t e =
+        index_.Find(hash, [&](uint32_t i) { return counts_[i].hash == hash; });
+    if (e == FlatIndex::kNone) {
+      e = index_.Append(hash, counts_.size(),
+                        [this](uint32_t i) { return counts_[i].hash; });
+      counts_.push_back({hash, 0});
+    }
+    return counts_[e].count;
+  }
+
+  std::vector<HotKey> counts_;  // One entry per distinct hash.
+  FlatIndex index_;
   uint64_t total_ = 0;
-  FmSketch sketch_{64};
 };
 
 }  // namespace efind

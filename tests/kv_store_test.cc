@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,14 +52,14 @@ TEST(KvStoreTest, MultipleValuesPerKey) {
 
 TEST(KvStoreTest, StringViewProbesNeedNoTerminatedKey) {
   // Probes are looked up as views: a key slice inside a longer buffer must
-  // find exactly its own entry, and the view hash must bucket like the
-  // owned string the entry was stored under.
+  // find exactly its own entry, and route to the partition of the owned
+  // string the entry was stored under.
   KvStore store(PaperOptions());
   store.Put("user1", IndexValue("profile1")).ok();
   const std::string buffer = "user12";
   const std::string_view slice(buffer.data(), 5);
-  EXPECT_EQ(std::hash<std::string_view>{}(slice),
-            std::hash<std::string>{}(std::string("user1")));
+  EXPECT_EQ(store.scheme().PartitionOf(slice),
+            store.scheme().PartitionOf(std::string("user1")));
   std::vector<IndexValue> out;
   ASSERT_TRUE(store.Get(slice, &out).ok());
   ASSERT_EQ(out.size(), 1u);
@@ -79,6 +78,59 @@ TEST(KvStoreTest, KeysSpreadAcrossPartitions) {
   for (int p = 0; p < 32; ++p) {
     EXPECT_GT(store.PartitionKeyCount(p), 500u);
     EXPECT_LT(store.PartitionKeyCount(p), 1500u);
+  }
+}
+
+// Few partitions and many keys, so every partition's table grows several
+// times and its probe runs get long; 3 partitions is not a power of two.
+// Each key must live in exactly the partition the scheme names, keep its
+// values in Put order, and stay distinct from keys never stored.
+TEST(KvStoreTest, FlatPartitionsKeepEveryKeyWhereTheSchemeSays) {
+  for (int partitions : {1, 3, 32}) {
+    SCOPED_TRACE("partitions " + std::to_string(partitions));
+    KvStoreOptions o = PaperOptions();
+    o.num_partitions = partitions;
+    KvStore store(o);
+    constexpr int kKeys = 30000;
+    std::vector<size_t> expected_per_partition(partitions, 0);
+    uint64_t puts = 0;
+    // Round r appends value r to every key with id % (r + 1) == 0, so key
+    // i ends up with the values of rounds {r : i % (r + 1) == 0} in order.
+    for (int round = 0; round < 3; ++round) {
+      for (int i = 0; i < kKeys; ++i) {
+        if (i % (round + 1) != 0) continue;
+        const std::string key = "key" + std::to_string(i);
+        ASSERT_TRUE(
+            store.Put(key, IndexValue("v" + std::to_string(round))).ok());
+        ++puts;
+        if (round == 0) {
+          ++expected_per_partition[store.scheme().PartitionOf(key)];
+        }
+      }
+    }
+    EXPECT_EQ(store.num_keys(), static_cast<size_t>(kKeys));
+    EXPECT_EQ(store.version(), puts);
+    for (int p = 0; p < partitions; ++p) {
+      EXPECT_EQ(store.PartitionKeyCount(p), expected_per_partition[p]);
+    }
+    EXPECT_EQ(store.PartitionKeyCount(partitions), 0u);
+    EXPECT_EQ(store.PartitionKeyCount(-1), 0u);
+    for (int i = 0; i < kKeys; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      std::vector<IndexValue> out;
+      ASSERT_TRUE(store.Get(key, &out).ok()) << key;
+      std::vector<std::string> want;
+      for (int round = 0; round < 3; ++round) {
+        if (i % (round + 1) == 0) want.push_back("v" + std::to_string(round));
+      }
+      ASSERT_EQ(out.size(), want.size()) << key;
+      for (size_t v = 0; v < want.size(); ++v) EXPECT_EQ(out[v].data, want[v]);
+      ASSERT_TRUE(store.Contains(key));
+      // A neighbour that was never stored, in the same buffer prefix.
+      const std::string absent = key + "x";
+      EXPECT_TRUE(store.Get(absent, &out).IsNotFound()) << absent;
+      EXPECT_FALSE(store.Contains(absent)) << absent;
+    }
   }
 }
 

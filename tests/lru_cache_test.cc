@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <list>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/random.h"
 
 namespace efind {
 namespace {
@@ -115,6 +120,108 @@ TEST(LruCacheTest, SequentialScanLargerThanCapacityAlwaysMisses) {
     }
   }
   EXPECT_DOUBLE_EQ(cache.miss_ratio(), 1.0);
+}
+
+/// The obvious LRU: a std::list, most recently used first, searched
+/// linearly. Slow, but too simple to be wrong; the flat cache must agree
+/// with it on every observable after every operation.
+template <typename Key, typename Value>
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  bool Get(const Key& key, Value* value) {
+    ++probes_;
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->first == key) {
+        entries_.splice(entries_.begin(), entries_, it);
+        *value = it->second;
+        return true;
+      }
+    }
+    ++misses_;
+    return false;
+  }
+
+  void Put(const Key& key, Value value) {
+    if (capacity_ == 0) return;
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->first == key) {
+        it->second = std::move(value);
+        entries_.splice(entries_.begin(), entries_, it);
+        return;
+      }
+    }
+    if (entries_.size() >= capacity_) entries_.pop_back();
+    entries_.emplace_front(key, std::move(value));
+  }
+
+  void Clear() {
+    entries_.clear();
+    probes_ = 0;
+    misses_ = 0;
+  }
+
+  size_t size() const { return entries_.size(); }
+  uint64_t probes() const { return probes_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  size_t capacity_;
+  std::list<std::pair<Key, Value>> entries_;
+  uint64_t probes_ = 0;
+  uint64_t misses_ = 0;
+};
+
+int MakeKey(uint64_t id, int*) { return static_cast<int>(id); }
+std::string MakeKey(uint64_t id, std::string*) {
+  return "key" + std::to_string(id);
+}
+
+/// 100k random Get/Put operations, with a rare Clear, against both caches.
+/// Keys come from a domain about twice the capacity, half of them from its
+/// low end, so the run mixes hits, refreshes, evictions and backward-shift
+/// deletions.
+template <typename Key>
+void RunDifferential(size_t capacity, uint64_t seed) {
+  SCOPED_TRACE("capacity " + std::to_string(capacity));
+  LruCache<Key, int> cache(capacity);
+  ReferenceLru<Key, int> reference(capacity);
+  Rng rng(seed);
+  const uint64_t domain = capacity * 2 + 3;
+  for (int op = 0; op < 100000; ++op) {
+    const uint64_t r = rng.Uniform(1000);
+    const uint64_t id =
+        r < 500 ? rng.Uniform(capacity / 2 + 1) : rng.Uniform(domain);
+    const Key key = MakeKey(id, static_cast<Key*>(nullptr));
+    if (rng.Uniform(20000) == 0) {
+      cache.Clear();
+      reference.Clear();
+    } else if (r % 2 == 0) {
+      int got = -1, want = -1;
+      const bool hit = cache.Get(key, &got);
+      ASSERT_EQ(hit, reference.Get(key, &want)) << "op " << op;
+      ASSERT_EQ(got, want) << "op " << op;
+    } else {
+      cache.Put(key, op);
+      reference.Put(key, op);
+    }
+    ASSERT_EQ(cache.size(), reference.size()) << "op " << op;
+    ASSERT_EQ(cache.probes(), reference.probes()) << "op " << op;
+    ASSERT_EQ(cache.misses(), reference.misses()) << "op " << op;
+  }
+}
+
+TEST(LruCacheTest, MatchesReferenceLruIntKeys) {
+  for (size_t capacity : {0, 1, 2, 3, 64, 1024}) {
+    RunDifferential<int>(capacity, 11 + capacity);
+  }
+}
+
+TEST(LruCacheTest, MatchesReferenceLruStringKeys) {
+  for (size_t capacity : {0, 1, 2, 3, 64, 1024}) {
+    RunDifferential<std::string>(capacity, 29 + capacity);
+  }
 }
 
 }  // namespace

@@ -13,9 +13,11 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/random.h"
 #include "mapreduce/partitioner.h"
 
 namespace efind {
@@ -48,7 +50,7 @@ TEST(SkewDetectorTest, UniformStreamFlagsNothing) {
 
 TEST(SkewDetectorTest, UniformGuardBlocksTinyDomains) {
   // 3 keys at ~33% each: each clears a naive 5% threshold, but the uniform
-  // guard (4 / estimated-distinct) recognizes the shares as the natural
+  // guard (4 / distinct) recognizes the shares as the natural
   // uniform share of a tiny domain, not skew.
   SkewDetector det;
   for (int i = 0; i < 300; ++i) {
@@ -83,6 +85,83 @@ TEST(SkewDetectorTest, MergeIsOrderIndependent) {
   ASSERT_EQ(h1.size(), 1u);
   EXPECT_EQ(h1[0].hash, Hash64("hot"));
   EXPECT_EQ(h1[0].count, 150u);
+}
+
+/// 600k Zipf-0.9 draws over a 400k-key domain, as key hashes: well over
+/// 100k distinct hashes, so the flat count table grows many times.
+std::vector<uint64_t> ZipfStream() {
+  Rng rng(42);
+  ZipfGenerator zipf(400000, 0.9);
+  std::vector<uint64_t> stream;
+  stream.reserve(600000);
+  for (int i = 0; i < 600000; ++i) {
+    stream.push_back(Hash64("k" + std::to_string(zipf.Next(&rng))));
+  }
+  return stream;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> Pairs(
+    const std::vector<SkewDetector::HotKey>& hot) {
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  for (const auto& h : hot) out.emplace_back(h.hash, h.count);
+  return out;
+}
+
+TEST(SkewDetectorTest, ZipfStreamMatchesPinnedCounts) {
+  const std::vector<uint64_t> stream = ZipfStream();
+  std::vector<uint64_t> distinct = stream;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  ASSERT_GT(distinct.size(), 100000u);
+
+  SkewDetector det;
+  for (uint64_t h : stream) det.Observe(h);
+  EXPECT_EQ(det.total(), 600000u);
+  // Pinned from the node-based implementation this table replaced.
+  const std::vector<std::pair<uint64_t, uint64_t>> expected = {
+      {4889596188055465614ull, 22194u}, {2234169604072206022ull, 11938u},
+      {5136754233957285178ull, 8385u},  {17806584776444317997ull, 6334u},
+      {13478880299882982758ull, 5246u}, {3137027677545614035ull, 4437u},
+      {3603092661527786968ull, 3933u},  {9486127208745077908ull, 3361u}};
+  EXPECT_EQ(Pairs(det.HotKeys(0.005)), expected);
+  // Every key above 0.01% of the stream, uncapped: how many, and their
+  // summed counts.
+  const auto wide = det.HotKeys(0.0001, 1 << 20);
+  uint64_t wide_sum = 0;
+  for (const auto& h : wide) wide_sum += h.count;
+  EXPECT_EQ(wide.size(), 724u);
+  EXPECT_EQ(wide_sum, 220969u);
+  EXPECT_EQ(det.MaxShare(), 22194 / 600000.0);
+  EXPECT_TRUE(det.HotKeys(0.5).empty());
+}
+
+TEST(SkewDetectorTest, AnySplitMergedInOrderEqualsWholeStream) {
+  const std::vector<uint64_t> stream = ZipfStream();
+  SkewDetector whole;
+  for (uint64_t h : stream) whole.Observe(h);
+
+  Rng rng(7);
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // 2..33 parts at random cut points, merged in stream order.
+    const int parts = 2 + static_cast<int>(rng.Uniform(32));
+    std::vector<size_t> cuts = {0, stream.size()};
+    for (int p = 1; p < parts; ++p) cuts.push_back(rng.Uniform(stream.size()));
+    std::sort(cuts.begin(), cuts.end());
+    SkewDetector merged;
+    for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+      SkewDetector part;
+      for (size_t i = cuts[c]; i < cuts[c + 1]; ++i) part.Observe(stream[i]);
+      merged.Merge(part);
+    }
+    EXPECT_EQ(merged.total(), whole.total());
+    EXPECT_EQ(merged.MaxShare(), whole.MaxShare());
+    for (double threshold : {0.05, 0.005, 0.0001}) {
+      EXPECT_EQ(Pairs(merged.HotKeys(threshold)),
+                Pairs(whole.HotKeys(threshold)));
+    }
+  }
 }
 
 TEST(SaltingPartitionerTest, ColdKeysMatchHashPartitioner) {
