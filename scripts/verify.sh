@@ -71,10 +71,12 @@
 #      every job), covering the between-job hand-off end to end.
 #  15. the AddressSanitizer leg (DESIGN.md §6): configures <build-dir>-asan
 #      with -DEFIND_SANITIZE=address and runs flat_index_test,
-#      lru_cache_test, kv_store_test, skew_detector_test, statistics_test
-#      and stages_test there — the flat open-addressing tables'
-#      backward-shift deletion and slot reuse are exactly the out-of-bounds
-#      class ASan catches.
+#      lru_cache_test, kv_store_test, skew_detector_test, statistics_test,
+#      stages_test, store_accessor_test and lookup_golden_test there — the
+#      flat open-addressing tables' backward-shift deletion and slot reuse
+#      are exactly the out-of-bounds class ASan catches, and the lookup
+#      stages' single driver keeps records and batch handles alive across
+#      store flushes (use-after-free / leak class).
 # Usage: scripts/verify.sh [build-dir]   (default: build)
 
 set -euo pipefail
@@ -158,7 +160,7 @@ fi
 
 ASAN_BUILD="$BUILD-asan"
 ASAN_TESTS=(flat_index_test lru_cache_test kv_store_test skew_detector_test
-  statistics_test stages_test)
+  statistics_test stages_test store_accessor_test lookup_golden_test)
 cmake -B "$ASAN_BUILD" -S . -DEFIND_SANITIZE=address
 cmake --build "$ASAN_BUILD" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
 for t in "${ASAN_TESTS[@]}"; do

@@ -39,14 +39,12 @@ std::vector<const InputSplit*> MakeView(const std::vector<InputSplit>& splits) {
   return view;
 }
 
-#if EFIND_OBS
 std::string FpHex(uint64_t fp) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(fp));
   return buf;
 }
-#endif
 
 const char* PosTag(OperatorPosition pos) {
   switch (pos) {
@@ -232,7 +230,6 @@ class PipelineExecutor {
           config_.DfsStoreSeconds(view_bytes_) / config_.num_nodes;
     }
     artifact_adopted_ = false;
-#if EFIND_OBS
     double job_t0 = 0.0;
     if (obs_ != nullptr) {
       obs::TraceRecorder& tr = obs_->trace();
@@ -250,7 +247,6 @@ class PipelineExecutor {
       }
       job_t0 = tr.clock();
     }
-#endif
     // Intermediate data this executor owns is handed to the job's map
     // tasks, which consume and release it; caller input is only borrowed.
     JobResult job = view_is_data_ ? job_runner_->Run(cur_, std::move(data_))
@@ -265,7 +261,6 @@ class PipelineExecutor {
     summary.map_task_base_durations = job.map_task_base_durations;
     summary.reduce_task_durations = job.reduce_task_durations;
     summary.reduce_task_base_durations = job.reduce_task_base_durations;
-#if EFIND_OBS
     // The map/reduce phase spans advanced the clock by job.sim_seconds, so
     // the job span covers exactly the phases it contains.
     if (obs_ != nullptr) {
@@ -275,7 +270,6 @@ class PipelineExecutor {
                           {"reduce_tasks",
                            std::to_string(job.num_reduce_tasks)}});
     }
-#endif
     result_->jobs.push_back(summary);
     result_->counters.Merge(job.counters);
     result_->sim_seconds +=
@@ -333,7 +327,6 @@ class PipelineExecutor {
       result_->counters.Increment("efind.integrity.detected",
                                   outcome.corrupt_chunks);
     }
-#if EFIND_OBS
     if (obs_ != nullptr) {
       obs::TraceRecorder& tr = obs_->trace();
       std::vector<obs::TraceArg> hit_args = {{"fingerprint", FpHex(fp)},
@@ -359,7 +352,6 @@ class PipelineExecutor {
             obs_->metrics().Counter("efind.reuse.cross_tenant_hits"), 1.0);
       }
     }
-#endif
     StartJob();
     reduce_side_ = false;
     const uint64_t bytes = TotalSizeBytes(splits);
@@ -394,7 +386,6 @@ class PipelineExecutor {
     const reuse::MaterializedStore::PublishResult pr = store_->Publish(
         fp, std::move(copy), saved, layout, partitions,
         conf_.name() + ":" + op_name, tenant_);
-#if EFIND_OBS
     if (obs_ != nullptr) {
       obs::TraceRecorder& tr = obs_->trace();
       tr.Span("materialize", "reuse", tr.clock(), 0.0, obs::kClusterTrack, 0,
@@ -413,7 +404,6 @@ class PipelineExecutor {
                static_cast<double>(bytes));
       }
     }
-#endif
   }
 
   /// Re-splits the current grouped data for index locality: the follow-up
@@ -595,7 +585,6 @@ class PipelineExecutor {
           continue;
         }
         result_->counters.Increment("efind.reuse.misses");
-#if EFIND_OBS
         if (obs_ != nullptr) {
           obs_->trace().Instant("reuse_miss", "reuse", obs_->trace().clock(),
                                 obs::kClusterTrack,
@@ -604,7 +593,6 @@ class PipelineExecutor {
           obs_->metrics().Add(obs_->metrics().Counter("efind.reuse.misses"),
                               1.0);
         }
-#endif
       }
 
       if (reduce_side_) {
@@ -623,7 +611,6 @@ class PipelineExecutor {
         const int fanout = std::max(2, options_.salt_fanout);
         cur_.partitioner = std::make_shared<SaltingPartitioner>(
             choice_stats->hot_keys, fanout);
-#if EFIND_OBS
         if (obs_ != nullptr) {
           obs::TraceRecorder& tr = obs_->trace();
           tr.Instant("skew_detected", "skew", tr.clock(), obs::kClusterTrack,
@@ -643,7 +630,6 @@ class PipelineExecutor {
                  static_cast<double>(choice_stats->hot_keys.size()));
           mx.Add(mx.Counter("efind.skew.salt_splits"), 1.0);
         }
-#endif
       }
       // Non-idxloc: as many grouped output files as map slots, so the
       // follow-up lookup job runs at full parallelism.
@@ -829,7 +815,6 @@ CollectedStats EFindJobRunner::ComputeStatsWithConf(
   return stats;
 }
 
-#if EFIND_OBS
 namespace {
 
 /// Gauges comparing a cost-model plan estimate made from one statistics
@@ -848,7 +833,6 @@ void RecordCostModelError(obs::ObsSession* session, const std::string& scope,
 }
 
 }  // namespace
-#endif  // EFIND_OBS
 
 EFindRunResult EFindJobRunner::RunWithPlan(const IndexJobConf& conf,
                                            const std::vector<InputSplit>& input,
@@ -864,12 +848,10 @@ EFindRunResult EFindJobRunner::RunWithPlan(const IndexJobConf& conf,
                       tenant_);
   px.RunAll(input);
   result.stats = ComputeStatsWithConf(*rc, conf, 1.0);
-#if EFIND_OBS
   if (obs_ != nullptr && stats_hint != nullptr) {
     RecordCostModelError(obs_, "static", PlanCost(plan, *stats_hint),
                          PlanCost(plan, result.stats));
   }
-#endif
   return result;
 }
 
@@ -1071,7 +1053,6 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
   bool changed = wave < total_splits &&
                  Reoptimize(/*at_map_phase=*/true, conf, base_plan,
                             wave_stats, &new_plan);
-#if EFIND_OBS
   // Algorithm 1's decision point: the simulated moment the first map wave
   // finished and statistics were inspected.
   if (obs_ != nullptr) {
@@ -1086,7 +1067,6 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
                  {{"phase", "map"}});
     }
   }
-#endif
 
   JobConfig final_job = baseline_job;
   MapPhaseResult rest_wave;
@@ -1170,7 +1150,6 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
     } else {
       result.replanned = true;
       result.plan.tail = tail_plan.tail;
-#if EFIND_OBS
       if (obs_ != nullptr) {
         obs_->trace().Instant("plan_switch", "plan", obs_->trace().clock(),
                               obs::kClusterTrack,
@@ -1179,7 +1158,6 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
         obs_->metrics().Add(obs_->metrics().Counter("efind.plan_switches"),
                             1.0);
       }
-#endif
       // Remaining reduce tasks run without the inline tail stages; their
       // outputs flow through the new tail pipeline.
       JobConfig bare = final_job;
@@ -1204,12 +1182,10 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
 
   result.sim_seconds += elapsed;
   result.stats = ComputeStatsWithConf(*rc, conf, 1.0);
-#if EFIND_OBS
   if (obs_ != nullptr) {
     RecordCostModelError(obs_, "dynamic", PlanCost(result.plan, wave_stats),
                          PlanCost(result.plan, result.stats));
   }
-#endif
   return result;
 }
 

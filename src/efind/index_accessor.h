@@ -114,8 +114,10 @@ class BatchedLookupHandle {
 
 /// Capability interface: accessors whose backend can serve many
 /// outstanding lookups per handle (page-packed stores). The lookup stages
-/// detect it with dynamic_cast and switch to the batched driver; accessors
-/// without it keep the serial path untouched.
+/// detect it with dynamic_cast: lookups against such an accessor are
+/// submitted and resolved by a flush, lookups against any other accessor
+/// are resolved where the record reaches them. Both are charged by the same
+/// per-lookup charge (DESIGN.md §13).
 class BatchedLookupIndex {
  public:
   virtual ~BatchedLookupIndex() = default;

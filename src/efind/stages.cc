@@ -16,13 +16,11 @@ uint64_t ResultBytes(const CachedResult& values) {
   return n;
 }
 
-#if EFIND_OBS
 std::string RatioStr(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4f", v);
   return buf;
 }
-#endif
 
 // Copy-on-write helper for the shared attachment. When this record holds
 // the only reference (the common case: PreProcess creates a fresh
@@ -42,17 +40,17 @@ std::shared_ptr<RecordAttachment> MutableAttachment(Record* record) {
   return std::make_shared<RecordAttachment>();
 }
 
-// Post-charge bookkeeping shared by every failure-aware lookup site:
-// failover/resilience counters, the fault-clean statistics channel, obs
-// instants (lookup_failover, lookup_hedge, integrity_retry,
-// breaker_transition), and the injected-latency histogram (DESIGN.md §10).
-void RecordChargeOutcome(const LookupCharge& charge, int j,
-                         const CounterHandle& failovers,
-                         const ResilienceCounters& rc, int injected_hist,
-                         TaskContext* ctx, OperatorTaskStats* stats,
-                         obs::ObsSession* obs) {
+// Post-charge bookkeeping of a failure-aware lookup: failover/resilience
+// counters, the fault-clean statistics channel, obs instants
+// (lookup_failover, lookup_hedge, integrity_retry, breaker_transition), and
+// the injected-latency histogram (DESIGN.md §10).
+void RecordChargeOutcome(const LookupCharge& charge, const LookupSite& site,
+                         TaskContext* ctx, OperatorTaskStats* stats) {
+  const int j = site.index;
+  const ResilienceCounters& rc = site.resilience;
+  obs::ObsSession* obs = site.obs;
   Counters* counters = ctx->counters();
-  if (charge.failed_over) counters->Increment(failovers);
+  if (charge.failed_over) counters->Increment(site.lookup_failovers);
   if (charge.hedges > 0) {
     counters->Increment(rc.hedges, charge.hedges);
     if (charge.hedge_won) counters->Increment(rc.hedge_wins);
@@ -78,7 +76,6 @@ void RecordChargeOutcome(const LookupCharge& charge, int j,
                             charge.flaky_errors, charge.corrupt_detected,
                             charge.breaker_short_circuit);
   }
-#if EFIND_OBS
   if (obs != nullptr) {
     obs::TaskTrace* tt = obs->trace().TaskLocal(ctx);
     if (charge.failed_over) {
@@ -105,23 +102,90 @@ void RecordChargeOutcome(const LookupCharge& charge, int j,
                    {"to", BreakerBank::ToString(static_cast<BreakerBank::State>(
                               charge.breaker_transition_to - 1))}});
     }
-    if (charge.injected_latency_sec > 0.0 && injected_hist >= 0) {
-      obs->metrics().TaskLocal(ctx)->Observe(injected_hist,
+    if (charge.injected_latency_sec > 0.0 && site.injected_hist >= 0) {
+      obs->metrics().TaskLocal(ctx)->Observe(site.injected_hist,
                                              charge.injected_latency_sec);
     }
   }
-#else
-  (void)injected_hist;
-  (void)obs;
-#endif
+}
+
+// The per-lookup charge: every lookup any stage performs is accounted here
+// and nowhere else — inline misses and grouped runs resolved where the
+// record reaches them, pass-through records' keys, and both stages' store
+// flushes. In order: the error counter (a failed lookup is charged as an
+// empty result), the service time, the failover / local / remote charge,
+// the lookup counter, the lookup statistics, and the latency histogram
+// (sim time since `t0`). `local` selects the index-locality charge, T_j
+// only (paper Eq. 4).
+void ChargeLookup(const LookupSite& site, const std::string& ik, bool error,
+                  bool local, double t0, CachedResult* values,
+                  TaskContext* ctx, OperatorTaskStats* stats) {
+  if (error) {
+    ctx->counters()->Increment(site.lookup_errors);
+    values->clear();
+  }
+  const uint64_t result_bytes = ResultBytes(*values);
+  const double service = site.accessor->ServiceSeconds(result_bytes);
+  if (site.failover != nullptr && site.failover->active()) {
+    const LookupCharge charge = site.failover->Resilient(
+        *site.accessor, ik, result_bytes, service, ctx->node_id(), local,
+        ctx->sim_time(), site.breakers.get());
+    ctx->AddSimTime(charge.seconds);
+    RecordChargeOutcome(charge, site, ctx, stats);
+  } else if (local) {
+    ctx->AddSimTime(service);
+  } else {
+    ctx->AddSimTime(service + site.accessor->RemoteOverheadSeconds() +
+                    site.config->RemoteLookupSeconds(ik.size() +
+                                                     result_bytes));
+  }
+  ctx->counters()->Increment(site.lookups);
+  if (stats != nullptr) {
+    stats->LookupPerformed(site.index, ik.size(), result_bytes, service);
+  }
+  if (site.obs != nullptr) {
+    site.obs->metrics().TaskLocal(ctx)->Observe(site.latency_hist,
+                                                ctx->sim_time() - t0);
+  }
+}
+
+// Looks `ik` up synchronously where the record reaches it and charges it.
+CachedResult LookupNow(const LookupSite& site, const std::string& ik,
+                       bool local, double t0, TaskContext* ctx,
+                       OperatorTaskStats* stats) {
+  CachedResult result;
+  const Status status = site.accessor->Lookup(ik, &result);
+  ChargeLookup(site, ik, !status.ok() && !status.IsNotFound(), local, t0,
+               &result, ctx, stats);
+  return result;
+}
+
+// One flush's completions indexed by `ticket - base` (null where none came
+// back: charged as an empty result).
+std::vector<BatchedLookupCompletion*> ByTicket(BatchedLookupOutcome* outcome,
+                                               uint64_t base, size_t n) {
+  std::vector<BatchedLookupCompletion*> by_ticket(n, nullptr);
+  for (auto& c : outcome->completions) {
+    const uint64_t i = c.ticket - base;
+    if (i < n) by_ticket[i] = &c;
+  }
+  return by_ticket;
+}
+
+// Moves a completion's values into `*values`; returns whether it failed.
+bool TakeCompletion(BatchedLookupCompletion* c, CachedResult* values) {
+  if (c == nullptr) return false;
+  if (c->error) return true;
+  *values = std::move(c->values);
+  return false;
 }
 
 // Device-side accounting of one batched-store flush (DESIGN.md §13): the
 // whole batch's distinct pages are charged as overlapped device waves
 // (`PageBatchSeconds`), the run-global `efind.store.*` counters record what
 // coalescing saved, and the pages feed the Nipl_j statistic behind the cost
-// model's page-read term. Per-lookup service/network charges happen at the
-// call sites, in submit order — this helper only owns the shared page leg.
+// model's page-read term. The per-lookup charges are `ChargeLookup`'s, in
+// submit order — this helper only owns the shared page leg.
 void ChargePageBatch(const StoreCounters& sc, int j, uint64_t distinct,
                      uint64_t uncoalesced, uint64_t lookups,
                      const ClusterConfig* config, TaskContext* ctx,
@@ -139,7 +203,6 @@ void ChargePageBatch(const StoreCounters& sc, int j, uint64_t distinct,
                         static_cast<double>(uncoalesced - distinct));
   }
   if (stats != nullptr) stats->LookupPages(j, distinct, uncoalesced);
-#if EFIND_OBS
   if (obs != nullptr && distinct > 0) {
     obs->trace().TaskLocal(ctx)->Span(
         "page_read", "store", t0, ctx->sim_time() - t0,
@@ -147,10 +210,6 @@ void ChargePageBatch(const StoreCounters& sc, int j, uint64_t distinct,
          {"coalesced", std::to_string(uncoalesced - distinct)},
          {"lookups", std::to_string(lookups)}});
   }
-#else
-  (void)t0;
-  (void)obs;
-#endif
 }
 
 // A breaker bank for one lookup site, or null when the breaker is disabled
@@ -236,6 +295,32 @@ void PreProcessStage::Process(Record record, TaskContext* ctx, Emitter* out) {
   out->Emit(std::move(record));
 }
 
+// ----------------------------------------------------------- lookup site --
+
+LookupSite::LookupSite(const IndexOperator& op, int index,
+                       const std::string& base, const ClusterConfig* config,
+                       const LookupFailover* failover,
+                       obs::ObsSession* session,
+                       const std::string& latency_metric)
+    : index(index),
+      accessor(op.accessors()[index].get()),
+      batched(dynamic_cast<const BatchedLookupIndex*>(accessor)),
+      config(config),
+      failover(failover),
+      obs(session),
+      lookups(base + ".lookups"),
+      lookup_errors(base + ".lookup_errors"),
+      lookup_failovers(base + ".lookup_failovers"),
+      resilience(base),
+      breakers(failover != nullptr ? MakeBreakers(config, accessor)
+                                   : nullptr) {
+  if (session != nullptr) {
+    latency_hist = session->metrics().Histogram(base + latency_metric);
+    injected_hist = session->metrics().Histogram(base +
+                                                 ".latency_injected_sec");
+  }
+}
+
 // --------------------------------------------------------- inline lookup --
 
 InlineLookupStage::InlineLookupStage(std::shared_ptr<IndexOperator> op,
@@ -250,11 +335,10 @@ InlineLookupStage::InlineLookupStage(std::shared_ptr<IndexOperator> op,
       tasks_(std::move(tasks)),
       runtime_(runtime),
       config_(config),
-      failover_(failover),
       obs_(session),
       counter_prefix_(std::move(counter_prefix)) {
   caches_.resize(tasks_.size());
-  counter_names_.reserve(tasks_.size());
+  sites_.reserve(tasks_.size());
   for (size_t t = 0; t < tasks_.size(); ++t) {
     if (tasks_[t].use_cache) {
       caches_[t] =
@@ -262,26 +346,11 @@ InlineLookupStage::InlineLookupStage(std::shared_ptr<IndexOperator> op,
     }
     const std::string base =
         counter_prefix_ + ".idx" + std::to_string(tasks_[t].index);
-    counter_names_.push_back({CounterHandle(base + ".lookups"),
-                              CounterHandle(base + ".cache_hits"),
-                              CounterHandle(base + ".lookup_errors"),
-                              CounterHandle(base + ".lookup_failovers")});
-    resilience_.emplace_back(base);
-    breakers_.push_back(
-        failover_ != nullptr
-            ? MakeBreakers(config_, op_->accessors()[tasks_[t].index].get())
-            : nullptr);
-    batched_.push_back(dynamic_cast<const BatchedLookupIndex*>(
-        op_->accessors()[tasks_[t].index].get()));
-    if (batched_.back() != nullptr) any_batched_ = true;
-#if EFIND_OBS
-    // Metric handles intern here, on the orchestration thread at plan
-    // expansion; hot-path updates go through integer ids only.
+    sites_.emplace_back(*op_, tasks_[t].index, base, config_, failover, obs_,
+                        ".lookup_latency_sec");
+    cache_hits_.emplace_back(base + ".cache_hits");
+    if (sites_.back().batched != nullptr) any_batched_ = true;
     if (obs_ != nullptr) {
-      latency_hist_.push_back(
-          obs_->metrics().Histogram(base + ".lookup_latency_sec"));
-      injected_hist_.push_back(
-          obs_->metrics().Histogram(base + ".latency_injected_sec"));
       std::vector<int> hits, misses;
       if (tasks_[t].use_cache) {
         for (int n = 0; n < config_->num_nodes; ++n) {
@@ -293,7 +362,6 @@ InlineLookupStage::InlineLookupStage(std::shared_ptr<IndexOperator> op,
       cache_hit_gauges_.push_back(std::move(hits));
       cache_miss_gauges_.push_back(std::move(misses));
     }
-#endif
   }
 }
 
@@ -301,14 +369,16 @@ std::string InlineLookupStage::name() const {
   return counter_prefix_ + ".lookup";
 }
 
-// Per-task state of the batched store path. Records whose keys hit a
-// store-backed index are buffered until a flush resolves their lookups; the
-// flush then emits them in arrival order, so the downstream record sequence
-// is byte-identical to the serial path. Keyed by `&tasks_` in the
-// TaskContext (distinct from every other task-state owner of this stage).
+// Per-task state of a stage with store-backed slots. Records whose keys hit
+// such a slot are buffered until a flush resolves their lookups; the flush
+// then emits every buffered record in arrival order, and a record with
+// nothing pending waits behind them, so the emitted sequence is the same
+// whether a lookup resolved at once or at a flush. Keyed by `&tasks_` in
+// the TaskContext (distinct from every other task-state owner of this
+// stage).
 struct InlineLookupStage::BatchState {
   // One store-backed task slot's outstanding batch (parallel to tasks_;
-  // serial slots never populate theirs).
+  // other slots never populate theirs).
   struct SlotBatch {
     std::unique_ptr<BatchedLookupHandle> handle;
     // Keys in ticket (= submit) order for the current flush.
@@ -316,8 +386,8 @@ struct InlineLookupStage::BatchState {
     // Ticket of submitted[0]; tickets grow monotonically across flushes.
     uint64_t ticket_base = 0;
     // Cached slots only: keys submitted but not yet Put() into the cache.
-    // A probe of such a key would have hit serially (the earlier miss's
-    // Put precedes it), so it counts as a hit and rides the same ticket.
+    // A probe of such a key counts as a hit (had the earlier miss resolved
+    // at once, its Put would precede the probe) and rides the same ticket.
     std::unordered_map<std::string, uint64_t> pending_keys;
   };
   // One buffered key of a buffered record: slot t, position in the record's
@@ -347,158 +417,99 @@ InlineLookupStage::BatchState* InlineLookupStage::BatchFor(TaskContext* ctx) {
   return raw;
 }
 
-CachedResult InlineLookupStage::LookupOne(size_t t, const std::string& ik,
-                                          TaskContext* ctx,
-                                          OperatorTaskStats* stats) {
-  const int j = tasks_[t].index;
-  const TaskCounters& names = counter_names_[t];
-  // This task slot's cache for the node the task runs on (if caching).
-  // Safe as a member: a node's tasks are serialized on one strand.
-  LruCache<std::string, CachedResult>* cache =
-      caches_[t] ? &caches_[t]->ForNode(ctx->node_id()) : nullptr;
-
-  if (cache != nullptr) {
-    ctx->AddSimTime(config_->cache_probe_sec);
-    CachedResult cached;
-    if (cache->Get(ik, &cached)) {
-      if (stats != nullptr) stats->CacheProbe(j, /*miss=*/false);
-      ctx->counters()->Increment(names.cache_hits);
-      return cached;
+void InlineLookupStage::Process(Record record, TaskContext* ctx,
+                                Emitter* out) {
+  BatchState* bs = any_batched_ ? BatchFor(ctx) : nullptr;
+  if (!record.attachment) {
+    // Nothing to look up, but it may not overtake buffered records.
+    if (bs != nullptr && !bs->buffered.empty()) {
+      bs->buffered.push_back({std::move(record), {}});
+    } else {
+      out->Emit(std::move(record));
     }
-    if (stats != nullptr) stats->CacheProbe(j, /*miss=*/true);
-  } else if (stats != nullptr) {
-    // No real cache: feed the shadow cache so R can be estimated for
-    // re-optimization (paper §4.2).
-    stats->ShadowProbe(j, ctx->node_id(), ik);
+    return;
   }
-
-  // Remote lookup: network round trip plus index service time.
-  CachedResult result;
-  const Status status = op_->accessors()[j]->Lookup(ik, &result);
-  if (!status.ok() && !status.IsNotFound()) {
-    ctx->counters()->Increment(names.lookup_errors);
-    result.clear();
-  }
-  const uint64_t result_bytes = ResultBytes(result);
-  const double service = op_->accessors()[j]->ServiceSeconds(result_bytes);
-  if (failover_ != nullptr && failover_->active()) {
-    const LookupCharge charge = failover_->Resilient(
-        *op_->accessors()[j], ik, result_bytes, service, ctx->node_id(),
-        /*local=*/false, ctx->sim_time(), breakers_[t].get());
-    ctx->AddSimTime(charge.seconds);
-    RecordChargeOutcome(charge, j, names.lookup_failovers, resilience_[t],
-                        t < injected_hist_.size() ? injected_hist_[t] : -1,
-                        ctx, stats, obs_);
-  } else {
-    ctx->AddSimTime(service + op_->accessors()[j]->RemoteOverheadSeconds() +
-                    config_->RemoteLookupSeconds(ik.size() + result_bytes));
-  }
-  ctx->counters()->Increment(names.lookups);
-  if (stats != nullptr) {
-    stats->LookupPerformed(j, ik.size(), result_bytes, service);
-  }
-  if (cache != nullptr) cache->Put(ik, result);
-  return result;
-}
-
-void InlineLookupStage::ProcessBatched(Record record, TaskContext* ctx,
-                                       Emitter* out,
-                                       OperatorTaskStats* stats) {
-  BatchState* bs = BatchFor(ctx);
-#if EFIND_OBS
+  OperatorTaskStats* stats =
+      runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr;
   obs::TaskTrace* tt =
       obs_ != nullptr ? obs_->trace().TaskLocal(ctx) : nullptr;
   obs::TaskMetrics* tm =
       obs_ != nullptr ? obs_->metrics().TaskLocal(ctx) : nullptr;
   const double batch_t0 = ctx->sim_time();
   size_t batch_keys = 0;
-#endif
   auto attachment = MutableAttachment(&record);
   BatchState::PendingRecord pr;
   for (size_t t = 0; t < tasks_.size(); ++t) {
-    const int j = tasks_[t].index;
+    const LookupSite& site = sites_[t];
+    const int j = site.index;
     if (j < 0 || j >= static_cast<int>(attachment->keys.size())) continue;
     auto& keys = attachment->keys[j];
     auto& results = attachment->results[j];
     results.resize(keys.size());
-    if (batched_[t] == nullptr) {
-      // Serial accessor: resolve inline, exactly as the non-batched driver.
-      for (size_t i = 0; i < keys.size(); ++i) {
-#if EFIND_OBS
-        const double lk_t0 = ctx->sim_time();
-#endif
-        results[i] = LookupOne(t, keys[i], ctx, stats);
-#if EFIND_OBS
-        if (tm != nullptr && t < latency_hist_.size()) {
-          tm->Observe(latency_hist_[t], ctx->sim_time() - lk_t0);
-        }
-        ++batch_keys;
-#endif
-      }
-      continue;
-    }
-    BatchState::SlotBatch& sb = bs->slots[t];
+    // This slot's cache for the node the task runs on (if caching). Safe as
+    // a member: a node's tasks are serialized on one strand.
     LruCache<std::string, CachedResult>* cache =
         caches_[t] ? &caches_[t]->ForNode(ctx->node_id()) : nullptr;
+    BatchState::SlotBatch* sb =
+        site.batched != nullptr ? &bs->slots[t] : nullptr;
     for (size_t i = 0; i < keys.size(); ++i) {
       const std::string& ik = keys[i];
-#if EFIND_OBS
       const double lk_t0 = ctx->sim_time();
       ++batch_keys;
-#endif
       if (cache != nullptr) {
         ctx->AddSimTime(config_->cache_probe_sec);
         CachedResult cached;
-        if (cache->Get(ik, &cached)) {
-          if (stats != nullptr) stats->CacheProbe(j, /*miss=*/false);
-          ctx->counters()->Increment(counter_names_[t].cache_hits);
+        bool hit = cache->Get(ik, &cached);
+        if (hit) {
           results[i] = std::move(cached);
-#if EFIND_OBS
-          if (tm != nullptr && t < latency_hist_.size()) {
-            tm->Observe(latency_hist_[t], ctx->sim_time() - lk_t0);
+        } else if (sb != nullptr) {
+          // A key still pending in this slot's batch is a hit as well (had
+          // its miss resolved at once, the Put would precede this probe):
+          // it rides the pending ticket.
+          auto it = sb->pending_keys.find(ik);
+          if (it != sb->pending_keys.end()) {
+            pr.refs.push_back({t, i, it->second});
+            hit = true;
           }
-#endif
-          continue;
         }
-        auto it = sb.pending_keys.find(ik);
-        if (it != sb.pending_keys.end()) {
-          // Serially the earlier miss's Put() would precede this probe:
-          // count the hit and ride the pending ticket.
+        if (hit) {
           if (stats != nullptr) stats->CacheProbe(j, /*miss=*/false);
-          ctx->counters()->Increment(counter_names_[t].cache_hits);
-          pr.refs.push_back({t, i, it->second});
-#if EFIND_OBS
-          if (tm != nullptr && t < latency_hist_.size()) {
-            tm->Observe(latency_hist_[t], ctx->sim_time() - lk_t0);
+          ctx->counters()->Increment(cache_hits_[t]);
+          if (tm != nullptr) {
+            tm->Observe(site.latency_hist, ctx->sim_time() - lk_t0);
           }
-#endif
           continue;
         }
         if (stats != nullptr) stats->CacheProbe(j, /*miss=*/true);
       } else if (stats != nullptr) {
+        // No real cache: feed the shadow cache so R can be estimated for
+        // re-optimization (paper §4.2).
         stats->ShadowProbe(j, ctx->node_id(), ik);
       }
-      if (!sb.handle) sb.handle = batched_[t]->NewBatch();
-      const uint64_t ticket = sb.handle->Submit(ik);
-      sb.submitted.push_back(ik);
-      if (cache != nullptr) sb.pending_keys.emplace(ik, ticket);
-      pr.refs.push_back({t, i, ticket});
-      ++bs->total_pending;
+      if (sb != nullptr) {
+        if (!sb->handle) sb->handle = site.batched->NewBatch();
+        const uint64_t ticket = sb->handle->Submit(ik);
+        sb->submitted.push_back(ik);
+        if (cache != nullptr) sb->pending_keys.emplace(ik, ticket);
+        pr.refs.push_back({t, i, ticket});
+        ++bs->total_pending;
+        continue;
+      }
+      results[i] = LookupNow(site, ik, /*local=*/false, lk_t0, ctx, stats);
+      if (cache != nullptr) cache->Put(ik, results[i]);
     }
   }
   record.attachment = std::move(attachment);
-#if EFIND_OBS
   if (tt != nullptr && batch_keys > 0) {
     tt->Span("lookup_batch", "lookup", batch_t0, ctx->sim_time() - batch_t0,
              {{"keys", std::to_string(batch_keys)}});
   }
-#endif
-  if (pr.refs.empty() && bs->buffered.empty()) {
+  if (bs == nullptr || (pr.refs.empty() && bs->buffered.empty())) {
     out->Emit(std::move(record));
-  } else {
-    pr.record = std::move(record);
-    bs->buffered.push_back(std::move(pr));
+    return;
   }
+  pr.record = std::move(record);
+  bs->buffered.push_back(std::move(pr));
   if (bs->total_pending >= static_cast<size_t>(config_->store_batch_depth)) {
     FlushBatch(bs, ctx, out, stats);
   }
@@ -515,59 +526,23 @@ void InlineLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
     const size_t n = sb.submitted.size();
     if (n == 0) continue;
     BatchedLookupOutcome outcome = sb.handle->Flush();
-    std::vector<BatchedLookupCompletion*> by_ticket(n, nullptr);
-    for (auto& c : outcome.completions) {
-      const uint64_t i = c.ticket - sb.ticket_base;
-      if (i < n) by_ticket[i] = &c;
-    }
-    const int j = tasks_[t].index;
-    const TaskCounters& names = counter_names_[t];
+    const auto by_ticket = ByTicket(&outcome, sb.ticket_base, n);
+    const LookupSite& site = sites_[t];
     LruCache<std::string, CachedResult>* cache =
         caches_[t] ? &caches_[t]->ForNode(ctx->node_id()) : nullptr;
     resolved[t].resize(n);
-    // Per-lookup charges replay in submit order — the same expressions, in
-    // the same floating-point evaluation order, as the serial miss path.
+    // Per-lookup charges replay in submit order.
     for (size_t i = 0; i < n; ++i) {
       const std::string& ik = sb.submitted[i];
-#if EFIND_OBS
       const double lk_t0 = ctx->sim_time();
-#endif
       CachedResult values;
-      if (by_ticket[i] != nullptr) {
-        if (by_ticket[i]->error) {
-          ctx->counters()->Increment(names.lookup_errors);
-        } else {
-          values = std::move(by_ticket[i]->values);
-        }
-      }
-      const uint64_t result_bytes = ResultBytes(values);
-      const double service = op_->accessors()[j]->ServiceSeconds(result_bytes);
-      if (failover_ != nullptr && failover_->active()) {
-        const LookupCharge charge = failover_->Resilient(
-            *op_->accessors()[j], ik, result_bytes, service, ctx->node_id(),
-            /*local=*/false, ctx->sim_time(), breakers_[t].get());
-        ctx->AddSimTime(charge.seconds);
-        RecordChargeOutcome(charge, j, names.lookup_failovers, resilience_[t],
-                            t < injected_hist_.size() ? injected_hist_[t] : -1,
-                            ctx, stats, obs_);
-      } else {
-        ctx->AddSimTime(service + op_->accessors()[j]->RemoteOverheadSeconds() +
-                        config_->RemoteLookupSeconds(ik.size() + result_bytes));
-      }
-      ctx->counters()->Increment(names.lookups);
-      if (stats != nullptr) {
-        stats->LookupPerformed(j, ik.size(), result_bytes, service);
-      }
+      const bool error = TakeCompletion(by_ticket[i], &values);
+      ChargeLookup(site, ik, error, /*local=*/false, lk_t0, &values, ctx,
+                   stats);
       if (cache != nullptr) cache->Put(ik, values);
-#if EFIND_OBS
-      if (obs_ != nullptr && t < latency_hist_.size()) {
-        obs_->metrics().TaskLocal(ctx)->Observe(latency_hist_[t],
-                                                ctx->sim_time() - lk_t0);
-      }
-#endif
       resolved[t][i] = std::move(values);
     }
-    ChargePageBatch(store_counters_, j, outcome.distinct_pages,
+    ChargePageBatch(store_counters_, site.index, outcome.distinct_pages,
                     outcome.uncoalesced_pages, n, config_, ctx, stats, obs_);
     sb.ticket_base += n;
     sb.submitted.clear();
@@ -593,67 +568,6 @@ void InlineLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
   bs->total_pending = 0;
 }
 
-void InlineLookupStage::Process(Record record, TaskContext* ctx,
-                                Emitter* out) {
-  if (!record.attachment) {
-    if (any_batched_) {
-      // Keep the emitted record order identical to serial execution: a
-      // record with nothing to look up may not overtake buffered ones.
-      auto* bs = static_cast<BatchState*>(ctx->FindTaskState(&tasks_));
-      if (bs != nullptr && !bs->buffered.empty()) {
-        BatchState::PendingRecord pr;
-        pr.record = std::move(record);
-        bs->buffered.push_back(std::move(pr));
-        return;
-      }
-    }
-    out->Emit(std::move(record));
-    return;
-  }
-  OperatorTaskStats* stats =
-      runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr;
-  if (any_batched_) {
-    ProcessBatched(std::move(record), ctx, out, stats);
-    return;
-  }
-#if EFIND_OBS
-  obs::TaskTrace* tt =
-      obs_ != nullptr ? obs_->trace().TaskLocal(ctx) : nullptr;
-  obs::TaskMetrics* tm =
-      obs_ != nullptr ? obs_->metrics().TaskLocal(ctx) : nullptr;
-  const double batch_t0 = ctx->sim_time();
-  size_t batch_keys = 0;
-#endif
-  auto attachment = MutableAttachment(&record);
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    const int j = tasks_[t].index;
-    if (j < 0 || j >= static_cast<int>(attachment->keys.size())) continue;
-    auto& keys = attachment->keys[j];
-    auto& results = attachment->results[j];
-    results.resize(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-#if EFIND_OBS
-      const double lk_t0 = ctx->sim_time();
-#endif
-      results[i] = LookupOne(t, keys[i], ctx, stats);
-#if EFIND_OBS
-      if (tm != nullptr && t < latency_hist_.size()) {
-        tm->Observe(latency_hist_[t], ctx->sim_time() - lk_t0);
-      }
-      ++batch_keys;
-#endif
-    }
-  }
-#if EFIND_OBS
-  if (tt != nullptr && batch_keys > 0) {
-    tt->Span("lookup_batch", "lookup", batch_t0, ctx->sim_time() - batch_t0,
-             {{"keys", std::to_string(batch_keys)}});
-  }
-#endif
-  record.attachment = std::move(attachment);
-  out->Emit(std::move(record));
-}
-
 void InlineLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
   if (any_batched_) {
     // Drain the tail batch before the obs snapshot so its page reads and
@@ -664,8 +578,6 @@ void InlineLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
                  runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
     }
   }
-  (void)out;
-#if EFIND_OBS
   // Cache hit/miss snapshot at end of task: the node cache is shared by the
   // node's (serially executed) tasks, so the ratio is the node's cumulative
   // state at this point of the serial order — deterministic at any thread
@@ -696,7 +608,6 @@ void InlineLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
               static_cast<double>(cache.misses()));
     }
   }
-#endif
 }
 
 // ----------------------------------------------------------- postprocess --
@@ -814,69 +725,40 @@ GroupedLookupStage::GroupedLookupStage(std::shared_ptr<IndexOperator> op,
       local_(local),
       runtime_(runtime),
       config_(config),
-      failover_(failover),
       obs_(session),
       counter_prefix_(std::move(counter_prefix)),
-      lookups_(counter_prefix_ + ".idx" + std::to_string(index_) +
-               ".lookups"),
-      lookup_errors_(counter_prefix_ + ".idx" + std::to_string(index_) +
-                     ".lookup_errors"),
+      site_(*op_, index_, counter_prefix_ + ".idx" + std::to_string(index_),
+            config_, failover, obs_, ".grouped_lookup_latency_sec"),
       lookup_reuses_(counter_prefix_ + ".idx" + std::to_string(index_) +
-                     ".lookup_reuses"),
-      lookup_failovers_(counter_prefix_ + ".idx" + std::to_string(index_) +
-                        ".lookup_failovers"),
-      resilience_(counter_prefix_ + ".idx" + std::to_string(index_)) {
-  if (failover_ != nullptr) {
-    breakers_ = MakeBreakers(config_, op_->accessors()[index_].get());
-  }
-  batched_ = dynamic_cast<const BatchedLookupIndex*>(
-      op_->accessors()[index_].get());
-#if EFIND_OBS
-  if (obs_ != nullptr) {
-    latency_hist_ = obs_->metrics().Histogram(
-        counter_prefix_ + ".idx" + std::to_string(index_) +
-        ".grouped_lookup_latency_sec");
-    injected_hist_ = obs_->metrics().Histogram(
-        counter_prefix_ + ".idx" + std::to_string(index_) +
-        ".latency_injected_sec");
-  }
-#endif
-}
+                     ".lookup_reuses") {}
 
 std::string GroupedLookupStage::name() const {
   return counter_prefix_ + ".grouped_lookup" + std::to_string(index_);
 }
 
-GroupedLookupStage::Memo* GroupedLookupStage::MemoFor(TaskContext* ctx) const {
-  auto* existing = static_cast<Memo*>(ctx->FindTaskState(this));
-  if (existing != nullptr) return existing;
-  auto memo = std::make_shared<Memo>();
-  Memo* raw = memo.get();
-  ctx->AddTaskState(this, std::move(memo));
-  return raw;
-}
-
-// Per-task state of the batched store path. Mirrors the serial path's
-// last-key memo in two tiers: `run_*` is a key submitted in the current
-// batch but not yet flushed (later records of the same grouped run ride its
-// ticket), `memo_*` is the last flushed grouped key (a run that straddles a
-// flush boundary keeps reusing). Keyed by `&index_` — `this` keys the
-// serial Memo.
+// Per-task state. `memo_*` is the last resolved grouped key: the rest of its
+// run reuses the result, also across a flush boundary. With a store-backed
+// accessor, `run_*` is a grouped key submitted to the current batch but not
+// yet flushed (later records of the same run ride its ticket), and records
+// wait in `buffered` until the flush that resolves them — a record may not
+// overtake them even when its own result is at hand. Keyed by `&index_`.
 struct GroupedLookupStage::BatchState {
-  struct Slot {
-    bool resolved = false;   // `result` is final (memo reuse).
-    uint64_t ticket = 0;     // Otherwise: resolve from this ticket at flush.
-    CachedResult result;
-  };
   struct PendingRecord {
     Record record;
-    bool grouped = false;    // Arrived via the shuffle (single result slot).
-    std::vector<Slot> slots; // grouped: exactly one; pass-through: per key.
+    bool grouped = false;           // Arrived via the shuffle: one result.
+    std::vector<uint64_t> tickets;  // grouped: one; pass-through: per key.
   };
   struct Submitted {
     std::string key;
-    bool grouped = false;    // Charges local in index-locality mode.
+    bool grouped = false;  // Charges local in index-locality mode.
   };
+
+  uint64_t Submit(const BatchedLookupIndex* index, const std::string& key,
+                  bool grouped) {
+    if (!handle) handle = index->NewBatch();
+    submitted.push_back({key, grouped});
+    return handle->Submit(key);
+  }
 
   std::unique_ptr<BatchedLookupHandle> handle;
   std::vector<PendingRecord> buffered;
@@ -899,92 +781,83 @@ GroupedLookupStage::BatchState* GroupedLookupStage::BatchFor(TaskContext* ctx) {
   return raw;
 }
 
-void GroupedLookupStage::ProcessBatched(Record record, TaskContext* ctx,
-                                        Emitter* out,
-                                        OperatorTaskStats* stats) {
+void GroupedLookupStage::TraceLookup(TaskContext* ctx, double t0,
+                                     bool local) const {
+  if (obs_ == nullptr) return;
+  obs_->trace().TaskLocal(ctx)->Span(
+      "grouped_lookup", "lookup", t0, ctx->sim_time() - t0,
+      {{"index", std::to_string(index_)},
+       {"mode", local ? "local" : "remote"}});
+}
+
+void GroupedLookupStage::Process(Record record, TaskContext* ctx,
+                                 Emitter* out) {
+  OperatorTaskStats* stats =
+      runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr;
   BatchState* bs = BatchFor(ctx);
-  const size_t depth = static_cast<size_t>(config_->store_batch_depth);
+  BatchState::PendingRecord pr;
   if (!record.attachment || !record.attachment->has_saved_key) {
-    // Shuffle-skipped record: submit its keys (remote charges) and buffer it
-    // so it cannot overtake earlier records still waiting on a flush.
-    BatchState::PendingRecord pr;
+    // Record skipped the shuffle (it extracted zero or several keys for
+    // this index). Resolve its lookups remotely so postProcess still sees
+    // complete results, then pass it through.
     if (record.attachment &&
         index_ < static_cast<int>(record.attachment->keys.size()) &&
         !record.attachment->keys[index_].empty()) {
       auto attachment = MutableAttachment(&record);
       const auto& keys = attachment->keys[index_];
-      attachment->results[index_].resize(keys.size());
-      if (!bs->handle) bs->handle = batched_->NewBatch();
-      for (const std::string& k : keys) {
-        BatchState::Slot slot;
-        slot.ticket = bs->handle->Submit(k);
-        bs->submitted.push_back({k, /*grouped=*/false});
-        pr.slots.push_back(std::move(slot));
+      auto& results = attachment->results[index_];
+      results.resize(keys.size());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if (site_.batched != nullptr) {
+          pr.tickets.push_back(bs->Submit(site_.batched, keys[i], false));
+        } else {
+          results[i] = LookupNow(site_, keys[i], /*local=*/false,
+                                 ctx->sim_time(), ctx, stats);
+        }
       }
       record.attachment = std::move(attachment);
     }
-    if (pr.slots.empty() && bs->buffered.empty()) {
-      out->Emit(std::move(record));
+  } else {
+    auto attachment = MutableAttachment(&record);
+    const std::string ik = std::move(record.key);
+    record.key = std::move(attachment->saved_key);
+    attachment->saved_key.clear();
+    attachment->has_saved_key = false;
+    if (bs->run_pending && bs->run_key == ik) {
+      // Same grouped run as an in-flight submit: ride its ticket.
+      ctx->counters()->Increment(lookup_reuses_);
+      pr.grouped = true;
+      pr.tickets.push_back(bs->run_ticket);
+    } else if (!bs->run_pending && bs->memo_valid && bs->memo_key == ik) {
+      ctx->counters()->Increment(lookup_reuses_);
+    } else if (site_.batched != nullptr) {
+      bs->run_pending = true;
+      bs->run_key = ik;
+      bs->run_ticket = bs->Submit(site_.batched, ik, true);
+      pr.grouped = true;
+      pr.tickets.push_back(bs->run_ticket);
     } else {
-      pr.record = std::move(record);
-      bs->buffered.push_back(std::move(pr));
+      const double lk_t0 = ctx->sim_time();
+      bs->memo_result = LookupNow(site_, ik, local_, lk_t0, ctx, stats);
+      TraceLookup(ctx, lk_t0, local_);
+      bs->memo_valid = true;
+      bs->memo_key = ik;
     }
-    if (bs->handle && bs->handle->pending() >= depth) {
-      FlushBatch(bs, ctx, out, stats);
+    if (pr.tickets.empty() &&
+        index_ < static_cast<int>(attachment->results.size())) {
+      attachment->results[index_].assign(1, bs->memo_result);
     }
+    record.attachment = std::move(attachment);
+  }
+  if (pr.tickets.empty() && bs->buffered.empty()) {
+    out->Emit(std::move(record));
     return;
   }
-
-  const std::string ik = record.key;
-  auto attachment = MutableAttachment(&record);
-  record.key = attachment->saved_key;
-  attachment->saved_key.clear();
-  attachment->has_saved_key = false;
-  record.attachment = std::move(attachment);
-
-  if (bs->run_pending && bs->run_key == ik) {
-    // Same grouped run as an in-flight submit: ride its ticket.
-    ctx->counters()->Increment(lookup_reuses_);
-    BatchState::PendingRecord pr;
-    pr.grouped = true;
-    pr.slots.emplace_back();
-    pr.slots.back().ticket = bs->run_ticket;
-    pr.record = std::move(record);
-    bs->buffered.push_back(std::move(pr));
-  } else if (!bs->run_pending && bs->memo_valid && bs->memo_key == ik) {
-    // A run straddling the last flush: resolved result, no new lookup.
-    ctx->counters()->Increment(lookup_reuses_);
-    if (bs->buffered.empty()) {
-      auto resolved = MutableAttachment(&record);
-      if (index_ < static_cast<int>(resolved->results.size())) {
-        resolved->results[index_].assign(1, bs->memo_result);
-      }
-      record.attachment = std::move(resolved);
-      out->Emit(std::move(record));
-    } else {
-      BatchState::PendingRecord pr;
-      pr.grouped = true;
-      pr.slots.emplace_back();
-      pr.slots.back().resolved = true;
-      pr.slots.back().result = bs->memo_result;
-      pr.record = std::move(record);
-      bs->buffered.push_back(std::move(pr));
-    }
-  } else {
-    if (!bs->handle) bs->handle = batched_->NewBatch();
-    const uint64_t ticket = bs->handle->Submit(ik);
-    bs->submitted.push_back({ik, /*grouped=*/true});
-    bs->run_pending = true;
-    bs->run_key = ik;
-    bs->run_ticket = ticket;
-    BatchState::PendingRecord pr;
-    pr.grouped = true;
-    pr.slots.emplace_back();
-    pr.slots.back().ticket = ticket;
-    pr.record = std::move(record);
-    bs->buffered.push_back(std::move(pr));
-  }
-  if (bs->handle && bs->handle->pending() >= depth) {
+  pr.record = std::move(record);
+  bs->buffered.push_back(std::move(pr));
+  if (bs->handle &&
+      bs->handle->pending() >=
+          static_cast<size_t>(config_->store_batch_depth)) {
     FlushBatch(bs, ctx, out, stats);
   }
 }
@@ -996,58 +869,16 @@ void GroupedLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
   std::vector<CachedResult> resolved(n);
   if (n > 0) {
     BatchedLookupOutcome outcome = bs->handle->Flush();
-    std::vector<BatchedLookupCompletion*> by_ticket(n, nullptr);
-    for (auto& c : outcome.completions) {
-      const uint64_t i = c.ticket - base;
-      if (i < n) by_ticket[i] = &c;
-    }
-    // Per-lookup charges replay in submit order — the same expressions, in
-    // the same floating-point evaluation order, as the serial path.
+    const auto by_ticket = ByTicket(&outcome, base, n);
+    // Per-lookup charges replay in submit order.
     for (size_t i = 0; i < n; ++i) {
       const BatchState::Submitted& sub = bs->submitted[i];
-#if EFIND_OBS
-      const double lk_t0 = ctx->sim_time();
-#endif
-      CachedResult values;
-      if (by_ticket[i] != nullptr) {
-        if (by_ticket[i]->error) {
-          ctx->counters()->Increment(lookup_errors_);
-        } else {
-          values = std::move(by_ticket[i]->values);
-        }
-      }
-      const uint64_t result_bytes = ResultBytes(values);
-      const double service =
-          op_->accessors()[index_]->ServiceSeconds(result_bytes);
       const bool local = local_ && sub.grouped;
-      if (failover_ != nullptr && failover_->active()) {
-        const LookupCharge charge = failover_->Resilient(
-            *op_->accessors()[index_], sub.key, result_bytes, service,
-            ctx->node_id(), local, ctx->sim_time(), breakers_.get());
-        ctx->AddSimTime(charge.seconds);
-        RecordChargeOutcome(charge, index_, lookup_failovers_, resilience_,
-                            injected_hist_, ctx, stats, obs_);
-      } else if (local) {
-        ctx->AddSimTime(service);
-      } else {
-        ctx->AddSimTime(
-            service + op_->accessors()[index_]->RemoteOverheadSeconds() +
-            config_->RemoteLookupSeconds(sub.key.size() + result_bytes));
-      }
-      ctx->counters()->Increment(lookups_);
-      if (stats != nullptr) {
-        stats->LookupPerformed(index_, sub.key.size(), result_bytes, service);
-      }
-#if EFIND_OBS
-      if (obs_ != nullptr) {
-        const double charged = ctx->sim_time() - lk_t0;
-        obs_->metrics().TaskLocal(ctx)->Observe(latency_hist_, charged);
-        obs_->trace().TaskLocal(ctx)->Span(
-            "grouped_lookup", "lookup", lk_t0, charged,
-            {{"index", std::to_string(index_)},
-             {"mode", local ? "local" : "remote"}});
-      }
-#endif
+      const double lk_t0 = ctx->sim_time();
+      CachedResult values;
+      const bool error = TakeCompletion(by_ticket[i], &values);
+      ChargeLookup(site_, sub.key, error, local, lk_t0, &values, ctx, stats);
+      TraceLookup(ctx, lk_t0, local);
       if (sub.grouped) {
         bs->memo_valid = true;
         bs->memo_key = sub.key;
@@ -1060,22 +891,17 @@ void GroupedLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
   }
   // Emit the buffered records in arrival order, results attached.
   for (auto& pr : bs->buffered) {
-    if (!pr.slots.empty() &&
+    if (!pr.tickets.empty() &&
         index_ < static_cast<int>(pr.record.attachment->results.size())) {
       auto attachment = MutableAttachment(&pr.record);
+      auto& results = attachment->results[index_];
       if (pr.grouped) {
-        const BatchState::Slot& slot = pr.slots[0];
-        const uint64_t i = slot.ticket - base;
-        if (slot.resolved) {
-          attachment->results[index_].assign(1, slot.result);
-        } else if (i < resolved.size()) {
-          attachment->results[index_].assign(1, resolved[i]);
-        }
+        const uint64_t i = pr.tickets[0] - base;
+        if (i < n) results.assign(1, resolved[i]);
       } else {
-        auto& results = attachment->results[index_];
-        for (size_t k = 0; k < pr.slots.size() && k < results.size(); ++k) {
-          const uint64_t i = pr.slots[k].ticket - base;
-          if (i < resolved.size()) results[k] = resolved[i];
+        for (size_t k = 0; k < pr.tickets.size() && k < results.size(); ++k) {
+          const uint64_t i = pr.tickets[k] - base;
+          if (i < n) results[k] = resolved[i];
         }
       }
       pr.record.attachment = std::move(attachment);
@@ -1089,139 +915,10 @@ void GroupedLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
 }
 
 void GroupedLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
-  if (batched_ == nullptr) return;
   auto* bs = static_cast<BatchState*>(ctx->FindTaskState(&index_));
   if (bs == nullptr || (bs->buffered.empty() && bs->submitted.empty())) return;
   FlushBatch(bs, ctx, out,
              runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
-}
-
-void GroupedLookupStage::Process(Record record, TaskContext* ctx,
-                                 Emitter* out) {
-  OperatorTaskStats* stats =
-      runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr;
-  if (batched_ != nullptr) {
-    ProcessBatched(std::move(record), ctx, out, stats);
-    return;
-  }
-  if (!record.attachment || !record.attachment->has_saved_key) {
-    // Record skipped the shuffle (it extracted zero or several keys for
-    // this index). Resolve its lookups directly (remote) so postProcess
-    // still sees complete results, then pass it through.
-    if (record.attachment &&
-        index_ < static_cast<int>(record.attachment->keys.size()) &&
-        !record.attachment->keys[index_].empty()) {
-      auto attachment = MutableAttachment(&record);
-      const auto& keys = attachment->keys[index_];
-      auto& results = attachment->results[index_];
-      results.resize(keys.size());
-      for (size_t i = 0; i < keys.size(); ++i) {
-#if EFIND_OBS
-        const double lk_t0 = ctx->sim_time();
-#endif
-        CachedResult result;
-        const Status status = op_->accessors()[index_]->Lookup(keys[i], &result);
-        if (!status.ok() && !status.IsNotFound()) {
-          ctx->counters()->Increment(lookup_errors_);
-          result.clear();
-        }
-        const uint64_t result_bytes = ResultBytes(result);
-        const double service =
-            op_->accessors()[index_]->ServiceSeconds(result_bytes);
-        if (failover_ != nullptr && failover_->active()) {
-          const LookupCharge charge = failover_->Resilient(
-              *op_->accessors()[index_], keys[i], result_bytes, service,
-              ctx->node_id(), /*local=*/false, ctx->sim_time(),
-              breakers_.get());
-          ctx->AddSimTime(charge.seconds);
-          RecordChargeOutcome(charge, index_, lookup_failovers_, resilience_,
-                              injected_hist_, ctx, stats, obs_);
-        } else {
-          ctx->AddSimTime(service +
-                          op_->accessors()[index_]->RemoteOverheadSeconds() +
-                          config_->RemoteLookupSeconds(keys[i].size() +
-                                                       result_bytes));
-        }
-        ctx->counters()->Increment(lookups_);
-        if (stats != nullptr) {
-          stats->LookupPerformed(index_, keys[i].size(), result_bytes,
-                                 service);
-        }
-#if EFIND_OBS
-        if (obs_ != nullptr) {
-          obs_->metrics().TaskLocal(ctx)->Observe(latency_hist_,
-                                                  ctx->sim_time() - lk_t0);
-        }
-#endif
-        results[i] = std::move(result);
-      }
-      record.attachment = std::move(attachment);
-    }
-    out->Emit(std::move(record));
-    return;
-  }
-  const std::string ik = record.key;
-  Memo* memo = MemoFor(ctx);
-
-  if (!memo->valid || memo->key != ik) {
-#if EFIND_OBS
-    const double lk_t0 = ctx->sim_time();
-#endif
-    CachedResult result;
-    const Status status = op_->accessors()[index_]->Lookup(ik, &result);
-    if (!status.ok() && !status.IsNotFound()) {
-      ctx->counters()->Increment(lookup_errors_);
-      result.clear();
-    }
-    const uint64_t result_bytes = ResultBytes(result);
-    const double service =
-        op_->accessors()[index_]->ServiceSeconds(result_bytes);
-    if (failover_ != nullptr && failover_->active()) {
-      const LookupCharge charge = failover_->Resilient(
-          *op_->accessors()[index_], ik, result_bytes, service,
-          ctx->node_id(), local_, ctx->sim_time(), breakers_.get());
-      ctx->AddSimTime(charge.seconds);
-      RecordChargeOutcome(charge, index_, lookup_failovers_, resilience_,
-                          injected_hist_, ctx, stats, obs_);
-    } else if (local_) {
-      // Index locality: the task runs on a node hosting this partition, so
-      // the lookup is a local call (paper Eq. 4).
-      ctx->AddSimTime(service);
-    } else {
-      ctx->AddSimTime(service +
-                      op_->accessors()[index_]->RemoteOverheadSeconds() +
-                      config_->RemoteLookupSeconds(ik.size() + result_bytes));
-    }
-    ctx->counters()->Increment(lookups_);
-    if (stats != nullptr) {
-      stats->LookupPerformed(index_, ik.size(), result_bytes, service);
-    }
-#if EFIND_OBS
-    if (obs_ != nullptr) {
-      const double charged = ctx->sim_time() - lk_t0;
-      obs_->metrics().TaskLocal(ctx)->Observe(latency_hist_, charged);
-      obs_->trace().TaskLocal(ctx)->Span(
-          "grouped_lookup", "lookup", lk_t0, charged,
-          {{"index", std::to_string(index_)},
-           {"mode", local_ ? "local" : "remote"}});
-    }
-#endif
-    memo->valid = true;
-    memo->key = ik;
-    memo->result = std::move(result);
-  } else {
-    ctx->counters()->Increment(lookup_reuses_);
-  }
-
-  auto attachment = MutableAttachment(&record);
-  record.key = attachment->saved_key;
-  attachment->saved_key.clear();
-  attachment->has_saved_key = false;
-  if (index_ < static_cast<int>(attachment->results.size())) {
-    attachment->results[index_].assign(1, memo->result);
-  }
-  record.attachment = std::move(attachment);
-  out->Emit(std::move(record));
 }
 
 // -------------------------------------------------------------- map meter --

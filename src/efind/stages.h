@@ -121,6 +121,43 @@ struct StoreCounters {
   CounterHandle batched_lookups;
 };
 
+/// One lookup site (stage × index): the index's accessor and everything the
+/// per-lookup charge touches — the stage's cost model and failover charger,
+/// the interned counter and resilience handles, the circuit breakers and the
+/// latency histograms. Both lookup stages charge every lookup of a site
+/// through one function (stages.cc).
+struct LookupSite {
+  /// `base` is the site's counter prefix (`<stage>.idx<j>`);
+  /// `latency_metric` names its lookup-latency histogram under `base`.
+  /// Metric ids intern here, on the orchestration thread at plan expansion.
+  LookupSite(const IndexOperator& op, int index, const std::string& base,
+             const ClusterConfig* config, const LookupFailover* failover,
+             obs::ObsSession* session, const std::string& latency_metric);
+
+  int index;
+  IndexAccessor* accessor;
+  // Batching capability of `accessor` (DESIGN.md §13), or null: lookups of
+  // such an index resolve where the record reaches them.
+  const BatchedLookupIndex* batched;
+  const ClusterConfig* config;
+  const LookupFailover* failover;  // Optional; null or inactive: healthy.
+  obs::ObsSession* obs;            // Optional.
+  CounterHandle lookups;
+  CounterHandle lookup_errors;
+  CounterHandle lookup_failovers;
+  ResilienceCounters resilience;
+  // Circuit breaker cells (null when the breaker is off or the index has no
+  // partition scheme). Safe as stage state for the same reason the node
+  // caches are: a node's tasks serialize on one strand, and a breaker cell
+  // is (node, partition)-local.
+  std::unique_ptr<BreakerBank> breakers;
+  // Interned histogram ids (kInvalidMetric when observability is off): the
+  // charged lookup latency, and the latency-spike seconds the fault model
+  // injected.
+  int latency_hist = -1;
+  int injected_hist = -1;
+};
+
 /// Which indices an `InlineLookupStage` serves, and how.
 struct InlineIndexTask {
   int index = 0;
@@ -129,7 +166,10 @@ struct InlineIndexTask {
 
 /// Performs baseline / lookup-cache index accesses in the task that holds
 /// the record (no extra job). Remote-lookup time `(Sik+Siv)/BW + T_j` is
-/// charged per actual lookup; cache probes charge T_cache.
+/// charged per actual lookup; cache probes charge T_cache. Lookups against
+/// an accessor without `BatchedLookupIndex` resolve as the record reaches
+/// them; store-backed lookups are buffered and resolved by a flush
+/// (DESIGN.md §13), and records leave in arrival order either way.
 class InlineLookupStage : public RecordStage {
  public:
   /// `failover` (optional, borrowed) activates the failure-aware charge
@@ -151,28 +191,11 @@ class InlineLookupStage : public RecordStage {
   void EndTask(TaskContext* ctx, Emitter* out) override;
 
  private:
-  // Pre-built counter names for tasks_[t]'s index.
-  struct TaskCounters {
-    CounterHandle lookups;
-    CounterHandle cache_hits;
-    CounterHandle lookup_errors;
-    CounterHandle lookup_failovers;
-  };
-
-  // Serves tasks_[t] for `ik` (through the cache if configured), charging
-  // simulated time to `ctx` and statistics to `stats` (may be null), and
-  // returns the result list.
-  CachedResult LookupOne(size_t t, const std::string& ik, TaskContext* ctx,
-                         OperatorTaskStats* stats);
-
-  // Batched store path (DESIGN.md §13): per-task buffering state, the
-  // record-buffering driver, and the flush that serves every pending lookup
-  // in one coalesced sweep. Engaged only when some task slot's accessor
-  // implements `BatchedLookupIndex`.
+  // Per-task buffering state of the store-backed slots, and the flush that
+  // serves every pending lookup in one coalesced sweep. A task has this
+  // state only when some slot's accessor implements `BatchedLookupIndex`.
   struct BatchState;
   BatchState* BatchFor(TaskContext* ctx);
-  void ProcessBatched(Record record, TaskContext* ctx, Emitter* out,
-                      OperatorTaskStats* stats);
   void FlushBatch(BatchState* bs, TaskContext* ctx, Emitter* out,
                   OperatorTaskStats* stats);
 
@@ -180,23 +203,10 @@ class InlineLookupStage : public RecordStage {
   std::vector<InlineIndexTask> tasks_;
   OperatorRuntime* runtime_;
   const ClusterConfig* config_;
-  const LookupFailover* failover_;
   obs::ObsSession* obs_;
   std::string counter_prefix_;
-  std::vector<TaskCounters> counter_names_;  // Parallel to tasks_.
-  // Resilience counter handles, parallel to tasks_.
-  std::vector<ResilienceCounters> resilience_;
-  // Circuit breakers, parallel to tasks_ (null when the breaker is off or
-  // the index has no partition scheme). Stage members are safe for the same
-  // reason the node caches are: a node's tasks serialize on one strand, and
-  // a breaker cell is (node, partition)-local.
-  std::vector<std::unique_ptr<BreakerBank>> breakers_;
-  // Interned lookup-latency histogram ids, parallel to tasks_ (empty when
-  // observability is off).
-  std::vector<int> latency_hist_;
-  // Interned injected-latency histogram ids (latency-spike seconds added by
-  // the fault model), parallel to tasks_ (empty when observability is off).
-  std::vector<int> injected_hist_;
+  std::vector<LookupSite> sites_;          // Parallel to tasks_.
+  std::vector<CounterHandle> cache_hits_;  // Parallel to tasks_.
   // Interned per-node cache hit/miss gauge ids: [t][node], only for cached
   // tasks with observability on (empty vectors otherwise). Gauges take the
   // last write in task-index absorb order — the node cache's cumulative
@@ -205,10 +215,7 @@ class InlineLookupStage : public RecordStage {
   std::vector<std::vector<int>> cache_miss_gauges_;
   // caches_[t] serves tasks_[t] when tasks_[t].use_cache.
   std::vector<std::unique_ptr<NodeCaches>> caches_;
-  // batched_[t] is the batching capability of tasks_[t]'s accessor (null for
-  // in-memory indices; those keep the serial path). Parallel to tasks_.
-  std::vector<const BatchedLookupIndex*> batched_;
-  bool any_batched_ = false;
+  bool any_batched_ = false;  // Some site's accessor batches.
   StoreCounters store_counters_;
 };
 
@@ -261,6 +268,10 @@ class GroupReducer : public Reducer {
 
 /// Performs one lookup per *run* of equal lookup keys (records arrive
 /// grouped after the shuffle job) and restores the original record keys.
+/// Records that skipped the shuffle look up each of their keys remotely and
+/// pass through. As in `InlineLookupStage`, an accessor without
+/// `BatchedLookupIndex` is looked up where the record reaches it, and a
+/// store-backed one through buffered batches.
 ///
 /// `local` selects the index-locality cost model: lookups charge T_j only,
 /// because the task was scheduled on a node hosting the co-partitioned
@@ -281,50 +292,28 @@ class GroupedLookupStage : public RecordStage {
 
   std::string name() const override;
   void Process(Record record, TaskContext* ctx, Emitter* out) override;
-  /// Flushes the batched store path's remaining buffered lookups (no-op for
-  /// serial accessors).
+  /// Flushes the task's remaining buffered store lookups.
   void EndTask(TaskContext* ctx, Emitter* out) override;
 
  private:
-  // Per-task memo of the last looked-up key, kept in the TaskContext.
-  struct Memo {
-    bool valid = false;
-    std::string key;
-    CachedResult result;
-  };
-  Memo* MemoFor(TaskContext* ctx) const;
-
-  // Batched store path (DESIGN.md §13). The task state is keyed by
-  // `&index_` — `this` already keys the serial path's Memo.
+  // Per-task state (the last resolved run's result, and the records and
+  // lookups waiting for a store flush) and the flush itself.
   struct BatchState;
   BatchState* BatchFor(TaskContext* ctx);
-  void ProcessBatched(Record record, TaskContext* ctx, Emitter* out,
-                      OperatorTaskStats* stats);
   void FlushBatch(BatchState* bs, TaskContext* ctx, Emitter* out,
                   OperatorTaskStats* stats);
+  // The `grouped_lookup` span of one charged lookup that began at `t0`.
+  void TraceLookup(TaskContext* ctx, double t0, bool local) const;
 
   std::shared_ptr<IndexOperator> op_;
   int index_;
   bool local_;
   OperatorRuntime* runtime_;
   const ClusterConfig* config_;
-  const LookupFailover* failover_;
   obs::ObsSession* obs_;
-  // Interned lookup-latency histogram id (kInvalidMetric when off).
-  int latency_hist_ = -1;
-  // Interned injected-latency histogram id (kInvalidMetric when off).
-  int injected_hist_ = -1;
   std::string counter_prefix_;
-  CounterHandle lookups_;
-  CounterHandle lookup_errors_;
+  LookupSite site_;
   CounterHandle lookup_reuses_;
-  CounterHandle lookup_failovers_;
-  ResilienceCounters resilience_;
-  // Circuit breaker cells for this index (see InlineLookupStage::breakers_).
-  std::unique_ptr<BreakerBank> breakers_;
-  // Batching capability of this index's accessor (null keeps the serial
-  // memoized path untouched).
-  const BatchedLookupIndex* batched_ = nullptr;
   StoreCounters store_counters_;
 };
 

@@ -59,7 +59,6 @@ bool ResolveBatchShuffle() {
            std::strcmp(env, "off") == 0);
 }
 
-#if EFIND_OBS
 std::string ShortNum(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4g", v);
@@ -161,7 +160,6 @@ void TracePhase(obs::ObsSession* session, const char* kind,
 
   tr.AdvanceClock(schedule.makespan);
 }
-#endif  // EFIND_OBS
 
 }  // namespace
 
@@ -509,7 +507,6 @@ MapPhaseResult JobRunner::RunMapPhaseOver(const JobConfig& job,
   } else {
     phase.schedule = ScheduleWaves(durations, config_.total_map_slots());
   }
-#if EFIND_OBS
   if (obs_ != nullptr) {
     std::vector<int> nodes;
     std::vector<double> base;
@@ -522,7 +519,6 @@ MapPhaseResult JobRunner::RunMapPhaseOver(const JobConfig& job,
     TracePhase(obs_, "map", phase.schedule, nodes, durations, base,
                config_.total_map_slots(), static_cast<int>(begin));
   }
-#endif
   return phase;
 }
 
@@ -814,7 +810,6 @@ ReducePhaseResult JobRunner::RunReduceRange(
     phase.schedule =
         ScheduleWaves(phase.durations, config_.total_reduce_slots());
   }
-#if EFIND_OBS
   if (obs_ != nullptr) {
     std::vector<int> nodes;
     nodes.reserve(count);
@@ -822,7 +817,6 @@ ReducePhaseResult JobRunner::RunReduceRange(
     TracePhase(obs_, "reduce", phase.schedule, nodes, phase.durations,
                phase.base_durations, config_.total_reduce_slots(), begin);
   }
-#endif
   return phase;
 }
 

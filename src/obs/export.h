@@ -14,8 +14,8 @@
 // Export is pure serialization of deterministic state: identical sessions
 // produce byte-identical output.
 
-#ifndef EFIND_OBS_EXPORT_H_
-#define EFIND_OBS_EXPORT_H_
+#ifndef EFIND_SRC_OBS_EXPORT_H_
+#define EFIND_SRC_OBS_EXPORT_H_
 
 #include <string>
 #include <vector>
@@ -64,4 +64,4 @@ bool WriteFile(const std::string& path, const std::string& content,
 }  // namespace obs
 }  // namespace efind
 
-#endif  // EFIND_OBS_EXPORT_H_
+#endif  // EFIND_SRC_OBS_EXPORT_H_

@@ -14,8 +14,8 @@
 // bucket/sum accumulation therefore happen in exactly the serial order, and
 // every snapshot is bit-identical at any worker-thread count.
 
-#ifndef EFIND_OBS_METRICS_H_
-#define EFIND_OBS_METRICS_H_
+#ifndef EFIND_SRC_OBS_METRICS_H_
+#define EFIND_SRC_OBS_METRICS_H_
 
 #include <array>
 #include <cstdint>
@@ -134,4 +134,4 @@ class MetricsRegistry {
 }  // namespace obs
 }  // namespace efind
 
-#endif  // EFIND_OBS_METRICS_H_
+#endif  // EFIND_SRC_OBS_METRICS_H_

@@ -21,8 +21,8 @@
 // converts to microseconds. `node` selects the per-node track
 // (kClusterTrack = the whole-cluster orchestration track).
 
-#ifndef EFIND_OBS_TRACE_H_
-#define EFIND_OBS_TRACE_H_
+#ifndef EFIND_SRC_OBS_TRACE_H_
+#define EFIND_SRC_OBS_TRACE_H_
 
 #include <cstddef>
 #include <string>
@@ -159,4 +159,4 @@ class TraceRecorder {
 }  // namespace obs
 }  // namespace efind
 
-#endif  // EFIND_OBS_TRACE_H_
+#endif  // EFIND_SRC_OBS_TRACE_H_

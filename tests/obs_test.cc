@@ -250,7 +250,7 @@ TEST(ExportTest, ChromeTraceJsonIsDeterministic) {
 }
 
 TEST(ExportTest, ChromeTraceJsonEmptyTraceIsValid) {
-  // An event-free trace (e.g. EFIND_ENABLE_OBS=OFF) must not leave a
+  // An event-free trace (e.g. a run that recorded nothing) must not leave a
   // trailing comma after the track-naming metadata block.
   TraceRecorder tr;
   const std::string json = ChromeTraceJson(tr, 3);

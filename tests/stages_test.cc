@@ -21,13 +21,56 @@ class FakeAccessor : public IndexAccessor {
   Status Lookup(const std::string& ik,
                 std::vector<IndexValue>* out) override {
     ++lookups;
+    return Serve(ik, out);
+  }
+  double ServiceSeconds(uint64_t) const override { return 1e-3; }
+  int lookups = 0;
+
+  static Status Serve(const std::string& ik, std::vector<IndexValue>* out) {
     if (ik == "err") return Status::Internal("boom");
     if (ik == "none") return Status::NotFound();
     out->emplace_back("V(" + ik + ")");
     return Status::OK();
   }
-  double ServiceSeconds(uint64_t) const override { return 1e-3; }
-  int lookups = 0;
+};
+
+/// The same fake index behind the batching interface: its handle serves
+/// each submitted key with `FakeAccessor::Serve` at flush, in ticket order,
+/// and reports no pages.
+class BatchedFakeAccessor : public FakeAccessor, public BatchedLookupIndex {
+ public:
+  std::unique_ptr<BatchedLookupHandle> NewBatch() const override {
+    return std::make_unique<Handle>();
+  }
+
+ private:
+  class Handle : public BatchedLookupHandle {
+   public:
+    uint64_t Submit(const std::string& ik) override {
+      keys_.push_back(ik);
+      return next_ticket_++;
+    }
+    size_t pending() const override { return keys_.size(); }
+    BatchedLookupOutcome Flush() override {
+      BatchedLookupOutcome outcome;
+      uint64_t ticket = next_ticket_ - keys_.size();
+      for (const std::string& ik : keys_) {
+        BatchedLookupCompletion c;
+        c.ticket = ticket++;
+        const Status status = Serve(ik, &c.values);
+        c.found = status.ok();
+        c.error = !status.ok() && !status.IsNotFound();
+        if (c.error) c.values.clear();
+        outcome.completions.push_back(std::move(c));
+      }
+      keys_.clear();
+      return outcome;
+    }
+
+   private:
+    std::vector<std::string> keys_;
+    uint64_t next_ticket_ = 0;
+  };
 };
 
 /// Operator: one key per record (the record key), post emits value+joined.
@@ -213,6 +256,147 @@ TEST(GroupedLookupStageTest, LocalLookupsChargeLessTime) {
   remote.Process(make(), &remote_ctx, &s1);
   local.Process(make(), &local_ctx, &s2);
   EXPECT_GT(remote_ctx.sim_time(), local_ctx.sim_time());
+}
+
+// ---------------------------------------------------------------------------
+// A synchronous accessor and a batching one over the same index must be
+// indistinguishable downstream: same records in the same order with the
+// same results, and the same lookup counters. The batching double flushes
+// at depth 2, so lookups resolve a record or two after they are reached.
+
+/// A record carrying `keys` for index 0; `saved_key` non-empty marks it as
+/// re-keyed by the shuffle (grouped), its key being the lookup key.
+Record WithKeys(const std::string& key, std::vector<std::string> keys,
+                const std::string& saved_key = "") {
+  Record rec(key, "v:" + key);
+  auto a = std::make_shared<RecordAttachment>();
+  a->results = {std::vector<CachedResult>(keys.size())};
+  a->keys = {std::move(keys)};
+  a->saved_key = saved_key;
+  a->has_saved_key = !saved_key.empty();
+  rec.attachment = a;
+  return rec;
+}
+
+/// Key, value and attached results of every emitted record, in order.
+std::vector<std::string> Emitted(const std::vector<Record>& records) {
+  std::vector<std::string> out;
+  for (const Record& r : records) {
+    std::string s = r.key + " " + r.value;
+    if (r.attachment) {
+      for (const auto& per_key : r.attachment->results) {
+        for (const auto& values : per_key) {
+          s += " [";
+          for (const auto& v : values) s += v.data;
+          s += "]";
+        }
+      }
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+struct DriveResult {
+  std::vector<std::string> emitted;
+  Counters counters;
+};
+
+/// Runs `records` through a stage built by `make` over `accessor`, as one
+/// task at store batch depth 2.
+template <typename MakeStage>
+DriveResult Drive(std::shared_ptr<IndexAccessor> accessor,
+                  std::vector<Record> records, MakeStage make) {
+  auto op = std::make_shared<FakeOperator>();
+  op->AddIndex(std::move(accessor));
+  ClusterConfig config;
+  config.store_batch_depth = 2;
+  DriveResult result;
+  VectorEmitter sink;
+  {
+    TaskContext ctx(0, 0, &result.counters);
+    auto stage = make(op, &config);
+    stage->BeginTask(&ctx);
+    for (Record& r : records) stage->Process(std::move(r), &ctx, &sink);
+    stage->EndTask(&ctx, &sink);
+  }
+  result.emitted = Emitted(sink.records);
+  return result;
+}
+
+void ExpectSameDownstream(const DriveResult& sync, const DriveResult& batched,
+                          size_t expected_records) {
+  EXPECT_EQ(sync.emitted.size(), expected_records);
+  EXPECT_EQ(sync.emitted, batched.emitted);
+  for (const char* name : {"lookups", "cache_hits", "lookup_reuses",
+                           "lookup_errors"}) {
+    const std::string counter = std::string("efind.t.idx0.") + name;
+    EXPECT_EQ(sync.counters.Get(counter), batched.counters.Get(counter))
+        << counter;
+  }
+}
+
+TEST(LookupDriverAgreementTest, InlineSyncAndBatchedAccessorsAgree) {
+  auto records = [] {
+    std::vector<Record> r;
+    r.push_back(WithKeys("r1", {"kA"}));
+    r.push_back(WithKeys("r2", {"kA"}));  // Hit on a key still pending.
+    r.push_back(Record("plain", "no attachment"));
+    r.push_back(WithKeys("r3", {}));       // Zero keys.
+    r.push_back(WithKeys("r4", {"kB", "err"}));  // Two keys, one error.
+    r.push_back(WithKeys("r5", {"kB"}));   // Cached repeat.
+    r.push_back(WithKeys("r6", {"none", "kC"}));
+    r.push_back(WithKeys("r7", {"kA"}));
+    return r;
+  };
+  auto inline_stage = [](std::shared_ptr<IndexOperator> op,
+                         const ClusterConfig* config) {
+    return std::make_unique<InlineLookupStage>(
+        op, std::vector<InlineIndexTask>{{0, true}}, nullptr, config, 16,
+        "efind.t");
+  };
+  const DriveResult sync =
+      Drive(std::make_shared<FakeAccessor>(), records(), inline_stage);
+  const DriveResult batched =
+      Drive(std::make_shared<BatchedFakeAccessor>(), records(), inline_stage);
+  ExpectSameDownstream(sync, batched, 8);
+  EXPECT_EQ(sync.counters.Get("efind.t.idx0.lookups"), 5.0);
+  EXPECT_EQ(sync.counters.Get("efind.t.idx0.cache_hits"), 3.0);
+  EXPECT_EQ(sync.counters.Get("efind.t.idx0.lookup_errors"), 1.0);
+  EXPECT_EQ(batched.counters.Get("efind.store.batches"), 2.0);
+}
+
+TEST(LookupDriverAgreementTest, GroupedSyncAndBatchedAccessorsAgree) {
+  auto records = [] {
+    std::vector<Record> r;
+    r.push_back(WithKeys("kA", {"kA"}, "r1"));  // A run of kA.
+    r.push_back(WithKeys("kA", {"kA"}, "r2"));
+    r.push_back(WithKeys("p1", {}));             // Pass-through, 0 keys.
+    r.push_back(WithKeys("p2", {"kX", "err"}));  // Pass-through, 2 keys.
+    r.push_back(WithKeys("kB", {"kB"}, "r3"));
+    r.push_back(WithKeys("kB", {"kB"}, "r4"));
+    r.push_back(WithKeys("kC", {"kC"}, "r5"));   // Flushes at depth 2...
+    r.push_back(WithKeys("kC", {"kC"}, "r6"));   // ...and the run goes on.
+    r.push_back(WithKeys("kC", {"kC"}, "r7"));
+    r.push_back(WithKeys("err", {"err"}, "r8"));
+    r.push_back(WithKeys("err", {"err"}, "r9"));
+    return r;
+  };
+  auto grouped_stage = [](std::shared_ptr<IndexOperator> op,
+                          const ClusterConfig* config) {
+    return std::make_unique<GroupedLookupStage>(op, 0, /*local=*/false,
+                                                nullptr, config, "efind.t");
+  };
+  const DriveResult sync =
+      Drive(std::make_shared<FakeAccessor>(), records(), grouped_stage);
+  const DriveResult batched =
+      Drive(std::make_shared<BatchedFakeAccessor>(), records(), grouped_stage);
+  ExpectSameDownstream(sync, batched, 11);
+  EXPECT_EQ(sync.counters.Get("efind.t.idx0.lookups"), 6.0);
+  EXPECT_EQ(sync.counters.Get("efind.t.idx0.lookup_reuses"), 5.0);
+  EXPECT_EQ(sync.counters.Get("efind.t.idx0.lookup_errors"), 2.0);
+  EXPECT_GT(batched.counters.Get("efind.store.batches"), 1.0);
+  EXPECT_EQ(sync.counters.Get("efind.store.batches"), 0.0);
 }
 
 TEST(PostProcessStageTest, StripsAttachmentAndCallsOperator) {
