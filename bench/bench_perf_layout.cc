@@ -10,27 +10,24 @@
 // bench reproduces that leg: it generates the fig11a log trace, re-keys it
 // by IP outside the measured region (the materialization the re-partition
 // planner would have written), and runs the resulting stage-less
-// shuffle+reduce job on the legacy per-record engine and on the batched
-// engine, same seed and plan, checking that
-//   1. outputs and simulated times are byte-identical (the batch layout is
-//      a pure engine optimization),
-//   2. the batched engine is at least 20% faster in host wall-clock
-//      (EFIND_PERF_LAYOUT_MIN_IMPROVEMENT overrides the fraction),
-//   3. per-record heap traffic collapses: shuffled records per tracked
-//      heap allocation >= 10 (the legacy path allocates at least once per
-//      record on this leg, so that is a >= 10x drop), and the arena
+// shuffle+reduce job, checking that
+//   1. the best-of-5 host wall-clock (after one warm-up pass) stays within
+//      kMaxWallMs,
+//   2. per-record heap traffic stays collapsed: shuffled records per
+//      tracked heap allocation >= kMinRecordsPerAlloc, and the arena
 //      reports nonzero reserved bytes,
-//   4. no shuffle checksum mismatches.
+//   3. no shuffle checksum mismatches.
 // Exits nonzero if any check fails, so scripts/verify.sh can gate on it.
 //
-// Wall-clock is measured as best-of-N with the two paths' repetitions
-// interleaved (legacy, batched, legacy, batched, ...) after one warm-up
-// pass each, which keeps the 20% gate stable on noisy single-core CI
-// hosts; the byte-identity checks are exact and noise-free.
+// Both bounds are absolute, pinned against the BENCH_core.json snapshot
+// taken on a 1-core container (65.1 ms best-of-5, 382.7 records per
+// allocation). The wall budget is about 5x that snapshot, the headroom the
+// trajectory budgets use, so it trips on a lost fast path rather than on
+// host noise. Output bytes and simulated times are pinned by
+// shuffle_golden_test, not here.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,6 +38,9 @@
 
 namespace efind {
 namespace {
+
+constexpr double kMaxWallMs = 325.0;
+constexpr double kMinRecordsPerAlloc = 100.0;
 
 /// Re-keys the raw event trace by IP — the record layout the re-partition
 /// strategy materializes before its index-local reduce. Runs outside the
@@ -77,16 +77,9 @@ class VisitSummaryReducer : public Reducer {
   }
 };
 
-struct PathRun {
-  JobResult result;
-  double best_ms = 0;
-};
-
-double TimedRun(bool batched, const bench::BenchOptions& opts,
-                const JobConfig& job, const std::vector<InputSplit>& input,
-                JobResult* result_out) {
+double TimedRun(const bench::BenchOptions& opts, const JobConfig& job,
+                const std::vector<InputSplit>& input, JobResult* result_out) {
   JobRunner runner(opts.config);
-  runner.set_batch_shuffle(batched);
   const auto start = std::chrono::steady_clock::now();
   JobResult result = runner.Run(job, input);
   const double ms = std::chrono::duration<double, std::milli>(
@@ -94,32 +87,6 @@ double TimedRun(bool batched, const bench::BenchOptions& opts,
                         .count();
   if (result_out != nullptr) *result_out = std::move(result);
   return ms;
-}
-
-/// Runs both paths back-to-back `repeats` times (after one warm-up pass
-/// each) and keeps each path's best wall-clock. Interleaving the pairs
-/// means slow drifts in host clock frequency hit both paths equally
-/// instead of biasing whichever ran last.
-void RunInterleaved(const bench::BenchOptions& opts, const JobConfig& job,
-                    const std::vector<InputSplit>& input, int repeats,
-                    PathRun* legacy, PathRun* batched) {
-  TimedRun(false, opts, job, input, &legacy->result);
-  TimedRun(true, opts, job, input, &batched->result);
-  for (int rep = 0; rep < repeats; ++rep) {
-    const double lm = TimedRun(false, opts, job, input, nullptr);
-    const double bm = TimedRun(true, opts, job, input, nullptr);
-    if (rep == 0 || lm < legacy->best_ms) legacy->best_ms = lm;
-    if (rep == 0 || bm < batched->best_ms) batched->best_ms = bm;
-  }
-}
-
-bool SameOutputs(const JobResult& a, const JobResult& b) {
-  if (a.outputs.size() != b.outputs.size()) return false;
-  for (size_t i = 0; i < a.outputs.size(); ++i) {
-    if (a.outputs[i].node != b.outputs[i].node) return false;
-    if (a.outputs[i].records != b.outputs[i].records) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -143,52 +110,40 @@ int main(int argc, char** argv) {
   job.name = "log_repartition_leg";
   job.reducer = std::make_shared<VisitSummaryReducer>();
 
-  const int repeats = 5;
-  PathRun legacy;
-  PathRun batched;
-  RunInterleaved(opts, job, input, repeats, &legacy, &batched);
-
-  harness.Add("legacy", legacy.result.sim_seconds, "", legacy.best_ms);
-  harness.Add("batched", batched.result.sim_seconds, "", batched.best_ms);
-
-  double min_improvement = 0.20;
-  if (const char* env = std::getenv("EFIND_PERF_LAYOUT_MIN_IMPROVEMENT")) {
-    min_improvement = std::atof(env);
+  JobResult result;
+  TimedRun(opts, job, input, &result);  // Warm-up.
+  double best_ms = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    const double ms = TimedRun(opts, job, input, nullptr);
+    if (rep == 0 || ms < best_ms) best_ms = ms;
   }
+  harness.Add("batched", result.sim_seconds, "", best_ms);
 
-  const bool identical_outputs =
-      SameOutputs(legacy.result, batched.result) &&
-      legacy.result.sim_seconds == batched.result.sim_seconds;
-  const double improvement =
-      legacy.best_ms > 0 ? 1.0 - batched.best_ms / legacy.best_ms : 0.0;
-  const bool fast_enough = improvement >= min_improvement;
-
-  const double records = batched.result.counters.Get("mr.shuffle.records");
-  const double allocs = batched.result.counters.Get("efind.alloc.count");
-  const double alloc_bytes = batched.result.counters.Get("efind.alloc.bytes");
+  const double records = result.counters.Get("mr.shuffle.records");
+  const double allocs = result.counters.Get("efind.alloc.count");
+  const double alloc_bytes = result.counters.Get("efind.alloc.bytes");
   const double records_per_alloc = allocs > 0 ? records / allocs : 0.0;
-  const bool alloc_drop = records_per_alloc >= 10.0 && alloc_bytes > 0;
+  const bool within_budget = best_ms <= kMaxWallMs;
+  const bool alloc_ok =
+      records_per_alloc >= kMinRecordsPerAlloc && alloc_bytes > 0;
   const bool no_mismatch =
-      batched.result.counters.Get("mr.shuffle.checksum_mismatch") == 0.0;
+      result.counters.Get("mr.shuffle.checksum_mismatch") == 0.0;
 
   std::printf(
-      "{\"bench\": \"perf_layout/layout\", \"legacy_ms\": %.3f, "
-      "\"batched_ms\": %.3f, \"improvement\": %.4f, "
-      "\"min_improvement\": %.4f, \"shuffle_records\": %.0f, "
-      "\"heap_allocs\": %.0f, \"records_per_alloc\": %.1f, "
-      "\"alloc_bytes\": %.0f, \"outputs_identical\": %s}\n",
-      legacy.best_ms, batched.best_ms, improvement, min_improvement, records,
-      allocs, records_per_alloc, alloc_bytes,
-      identical_outputs ? "true" : "false");
+      "{\"bench\": \"perf_layout/layout\", \"batched_ms\": %.3f, "
+      "\"max_ms\": %.1f, \"shuffle_records\": %.0f, \"heap_allocs\": %.0f, "
+      "\"records_per_alloc\": %.1f, \"min_records_per_alloc\": %.1f, "
+      "\"alloc_bytes\": %.0f}\n",
+      best_ms, kMaxWallMs, records, allocs, records_per_alloc,
+      kMinRecordsPerAlloc, alloc_bytes);
   std::printf(
-      "{\"bench\": \"perf_layout/acceptance\", \"identical\": %s, "
-      "\"fast_enough\": %s, \"alloc_drop_10x\": %s, "
-      "\"zero_checksum_mismatch\": %s}\n",
-      identical_outputs ? "true" : "false", fast_enough ? "true" : "false",
-      alloc_drop ? "true" : "false", no_mismatch ? "true" : "false");
+      "{\"bench\": \"perf_layout/acceptance\", \"within_budget\": %s, "
+      "\"records_per_alloc_ok\": %s, \"zero_checksum_mismatch\": %s}\n",
+      within_budget ? "true" : "false", alloc_ok ? "true" : "false",
+      no_mismatch ? "true" : "false");
   std::fflush(stdout);
 
-  const bool ok = identical_outputs && fast_enough && alloc_drop && no_mismatch;
+  const bool ok = within_budget && alloc_ok && no_mismatch;
   const int rc = bench::FinishBench(harness, opts, argc, argv);
   if (!ok) {
     std::fprintf(stderr, "perf_layout acceptance FAILED\n");

@@ -30,8 +30,7 @@
 #      includes the skew trace lint) and the bench_ablation_skew winner
 #      matrix (exits nonzero unless salted re-partitioning beats plain
 #      re-partitioning by >= 25% simulated makespan on the skewed
-#      scenarios, matches it exactly on the benign ones, and stays
-#      byte-identical batched vs legacy),
+#      scenarios and matches it exactly on the benign ones),
 #  10. the packed-store leg (DESIGN.md §13): the store suite alone
 #      (ctest -L store, includes the Elias-Fano / packed-store /
 #      accessor-fingerprint tests and the store_tsan_smoke binary) and
@@ -41,9 +40,9 @@
 #      thread counts),
 #  11. the shuffle hot-path perf leg (DESIGN.md §11): the arena/batch
 #      suite alone (ctest -L perf), the bench_perf_layout acceptance
-#      bench (exits nonzero unless the batched engine is byte-identical
-#      to the legacy one, >= 20% faster on the fig11a repartition leg,
-#      and >= 10x lower in per-record heap traffic), and the
+#      bench (exits nonzero unless the fig11a repartition leg runs in
+#      <= 325 ms best-of-5 with >= 100 shuffled records per heap
+#      allocation and no shuffle-digest mismatch), and the
 #      perf-trajectory budget check (scripts/bench_trajectory.sh --check
 #      exits nonzero if any area blows its pinned wall-clock budget; the
 #      committed BENCH_<area>.json snapshots are not rewritten here),
@@ -72,11 +71,14 @@
 #  15. the AddressSanitizer leg (DESIGN.md §6): configures <build-dir>-asan
 #      with -DEFIND_SANITIZE=address and runs flat_index_test,
 #      lru_cache_test, kv_store_test, skew_detector_test, statistics_test,
-#      stages_test, store_accessor_test and lookup_golden_test there — the
-#      flat open-addressing tables' backward-shift deletion and slot reuse
-#      are exactly the out-of-bounds class ASan catches, and the lookup
-#      stages' single driver keeps records and batch handles alive across
-#      store flushes (use-after-free / leak class).
+#      stages_test, store_accessor_test, lookup_golden_test,
+#      shuffle_golden_test and record_batch_test there — the flat
+#      open-addressing tables' backward-shift deletion and slot reuse are
+#      exactly the out-of-bounds class ASan catches, the lookup stages'
+#      single driver keeps records and batch handles alive across store
+#      flushes, and the shuffle's reduce gather reads map-side batches
+#      through string views into their tasks' arenas (use-after-free /
+#      leak class).
 # Usage: scripts/verify.sh [build-dir]   (default: build)
 
 set -euo pipefail
@@ -160,7 +162,8 @@ fi
 
 ASAN_BUILD="$BUILD-asan"
 ASAN_TESTS=(flat_index_test lru_cache_test kv_store_test skew_detector_test
-  statistics_test stages_test store_accessor_test lookup_golden_test)
+  statistics_test stages_test store_accessor_test lookup_golden_test
+  shuffle_golden_test record_batch_test)
 cmake -B "$ASAN_BUILD" -S . -DEFIND_SANITIZE=address
 cmake --build "$ASAN_BUILD" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
 for t in "${ASAN_TESTS[@]}"; do

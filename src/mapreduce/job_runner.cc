@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "common/arena.h"
@@ -52,13 +49,6 @@ const Record& Hand(const Record& r) { return r; }
 void Release(InputSplit& split) { std::vector<Record>().swap(split.records); }
 void Release(const InputSplit&) {}
 
-bool ResolveBatchShuffle() {
-  const char* env = std::getenv("EFIND_BATCH_SHUFFLE");
-  if (env == nullptr || *env == '\0') return true;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-           std::strcmp(env, "off") == 0);
-}
-
 std::string ShortNum(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4g", v);
@@ -91,8 +81,8 @@ void TracePhase(obs::ObsSession* session, const char* kind,
             std::to_string(schedule.speculative_launched)},
            {"speculative_wins", std::to_string(schedule.speculative_wins)}});
 
-  // Stage buffers are keyed by the phase-global task index; buffers staged
-  // outside this phase's range (stray direct RunMapTask calls) are dropped.
+  // Stage buffers are keyed by the phase-global task index; the phase's
+  // state bags, merged just before this call, staged all of them.
   std::map<int, obs::TraceRecorder::StagedTask> staged;
   for (auto& s : tr.TakeStaged()) staged.emplace(s.task_index, std::move(s));
 
@@ -163,8 +153,7 @@ void TracePhase(obs::ObsSession* session, const char* kind,
 
 }  // namespace
 
-JobRunner::JobRunner(const ClusterConfig& config)
-    : config_(config), batch_shuffle_(ResolveBatchShuffle()) {}
+JobRunner::JobRunner(const ClusterConfig& config) : config_(config) {}
 
 int JobRunner::ResolveNumReduceTasks(const JobConfig& job) const {
   if (!job.reducer) return 1;
@@ -234,21 +223,14 @@ template <typename Split>
 MapTaskResult JobRunner::RunMapTaskDeferred(const JobConfig& job,
                                             Split& split, int task_index,
                                             TaskStateBag* bag) {
-  // Batching applies to jobs with a reduce phase; map-only output is
-  // consumed as `std::vector<Record>` splits either way, so the legacy
-  // representation is already the final one there.
-  if (batch_shuffle_ && (job.reducer || !job.reduce_stages.empty())) {
+  if (job.reducer || !job.reduce_stages.empty()) {
     return RunMapTaskBatched(job, split, task_index, bag);
   }
+  // Map-only: the stage chain's output is the task's output split.
   MapTaskResult result;
   result.node = split.node;
-  const int num_partitions =
-      job.reducer ? ResolveNumReduceTasks(job) : 1;
-  result.partitioned_output.resize(num_partitions);
-
   TaskContext ctx(split.node, task_index, &result.counters);
-  std::vector<Record> sink;
-  StageChain chain(&job.map_stages, &ctx, &sink);
+  StageChain chain(&job.map_stages, &ctx, &result.output);
   chain.Begin();
 
   double cpu = 0.0;
@@ -262,36 +244,31 @@ MapTaskResult JobRunner::RunMapTaskDeferred(const JobConfig& job,
   Release(split);
   chain.Finish();
 
-  // Partition the map output. A salting partitioner cycles hot keys through
-  // per-task salts in record order — the same order the batched sweep sees,
-  // so both paths produce identical buckets.
-  const Partitioner& part = EffectivePartitioner(job);
-  const auto* salt_part = dynamic_cast<const SaltingPartitioner*>(&part);
-  SaltCycler salt_state;
-  for (auto& r : sink) {
+  for (const Record& r : result.output) {
     result.output_bytes += r.size_bytes();
-    ++result.output_records;
     cpu += config_.cpu_per_byte_sec * static_cast<double>(r.size_bytes());
-    const int p = !job.reducer ? 0
-                  : salt_part
-                      ? salt_part->PartitionHash(Hash64(r.key), &salt_state,
-                                                 num_partitions)
-                      : part.Partition(r.key, num_partitions);
-    result.partitioned_output[p].push_back(std::move(r));
   }
+  result.output_records = result.output.size();
+  FinishMapTask(job, cpu, task_index, &ctx, &result, bag);
+  return result;
+}
 
+void JobRunner::FinishMapTask(const JobConfig& job, double cpu,
+                              int task_index, TaskContext* ctx,
+                              MapTaskResult* result, TaskStateBag* bag) const {
   // Time model: startup + input read (local disk, or network when the
   // scheduler sacrificed data locality) + CPU + stage-charged time +
   // output spill to local disk.
   double io = job.map_input_remote
-                  ? config_.TransferSeconds(result.input_bytes)
-                  : config_.DiskReadSeconds(result.input_bytes);
-  io += static_cast<double>(result.output_bytes) /
+                  ? config_.TransferSeconds(result->input_bytes)
+                  : config_.DiskReadSeconds(result->input_bytes);
+  io += static_cast<double>(result->output_bytes) /
         config_.disk_bw_bytes_per_sec;
-  result.base_duration = config_.task_startup_sec + io + cpu + ctx.sim_time();
-  result.duration = ApplyFaults(result.base_duration, /*kind=*/0, task_index);
-  *bag = ctx.TakeTaskState();
-  return result;
+  result->base_duration =
+      config_.task_startup_sec + io + cpu + ctx->sim_time();
+  result->duration = ApplyFaults(result->base_duration, /*kind=*/0,
+                                 task_index);
+  *bag = ctx->TakeTaskState();
 }
 
 template <typename Split>
@@ -299,7 +276,6 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job, Split& split,
                                            int task_index, TaskStateBag* bag) {
   MapTaskResult result;
   result.node = split.node;
-  result.batched = true;
   const int num_partitions = job.reducer ? ResolveNumReduceTasks(job) : 1;
 
   // One arena backs everything this task's shuffle produces — staging
@@ -334,9 +310,9 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job, Split& split,
     // Stage-less fast path: re-partition legs are pure data movement, so
     // input records go straight into the per-bucket batches — no stage
     // chain, no per-record std::string copies at all (an owned split hands
-    // its attachments over and is released after the sweep). Charge
-    // accumulation matches the legacy path exactly: every input charge
-    // first, then every output charge, in the same record order.
+    // its attachments over and is released after the sweep). Charges
+    // accumulate as on the staged path: every input charge first, then
+    // every output charge, in record order.
     uint64_t payload = 0;
     for (const Record& r : split.records) {
       result.input_bytes += r.size_bytes();
@@ -435,24 +411,7 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job, Split& split,
   result.counters.Increment(kShuffleBatchBytes,
                             static_cast<double>(batch_bytes));
 
-  // Time model: identical inputs and accumulation order as the legacy path,
-  // so simulated durations agree bit for bit.
-  double io = job.map_input_remote
-                  ? config_.TransferSeconds(result.input_bytes)
-                  : config_.DiskReadSeconds(result.input_bytes);
-  io += static_cast<double>(result.output_bytes) /
-        config_.disk_bw_bytes_per_sec;
-  result.base_duration = config_.task_startup_sec + io + cpu + ctx.sim_time();
-  result.duration = ApplyFaults(result.base_duration, /*kind=*/0, task_index);
-  *bag = ctx.TakeTaskState();
-  return result;
-}
-
-MapTaskResult JobRunner::RunMapTask(const JobConfig& job,
-                                    const InputSplit& split, int task_index) {
-  TaskStateBag bag;
-  MapTaskResult result = RunMapTaskDeferred(job, split, task_index, &bag);
-  bag.Merge();
+  FinishMapTask(job, cpu, task_index, &ctx, &result, bag);
   return result;
 }
 
@@ -545,12 +504,12 @@ ReducePhaseResult JobRunner::RunReduceRange(
   phase.output_bytes.resize(count, 0);
   std::vector<TaskStateBag> bags(count);
 
-  // Batched gather: group `string_view` keys pointing straight into the
-  // map-side shuffle buffers; each record is materialized exactly once, for
-  // the reducer's value vector. The map side's per-bucket digest is
-  // re-derived in the same sweep, verifying the in-memory shuffle hand-off
-  // end to end (counted as `mr.shuffle.checksum_mismatch`, expected 0).
-  auto run_reduce_task_batched = [&](size_t slot) {
+  // Gather: group `string_view` keys pointing straight into the map-side
+  // shuffle buffers; each record is materialized exactly once, for the
+  // reducer's value vector. The map side's per-bucket digest is re-derived
+  // in the same sweep, verifying the in-memory shuffle hand-off end to end
+  // (counted as `mr.shuffle.checksum_mismatch`, expected 0).
+  auto run_reduce_task = [&](size_t slot) {
     const int r = begin + static_cast<int>(slot);
     const int node = ReduceTaskNode(job, r);
     phase.outputs[slot].node = node;
@@ -558,18 +517,13 @@ ReducePhaseResult JobRunner::RunReduceRange(
     // The record's location in the (immutable) map outputs, indexed by
     // arrival order.
     struct Loc {
-      const RecordBatch* batch;  // Null for a legacy map output.
-      const Record* rec;         // Null for a batched map output.
-      uint32_t index;            // Record index within `batch`.
+      const RecordBatch* batch;
+      uint32_t index;  // Record index within `batch`.
     };
     size_t total = 0;
     for (const MapTaskResult* mt : map_outputs) {
-      if (mt->batched) {
-        if (r < static_cast<int>(mt->partitioned_batches.size())) {
-          total += mt->partitioned_batches[r].size();
-        }
-      } else if (r < static_cast<int>(mt->partitioned_output.size())) {
-        total += mt->partitioned_output[r].size();
+      if (r < static_cast<int>(mt->partitioned_batches.size())) {
+        total += mt->partitioned_batches[r].size();
       }
     }
     std::vector<Loc> locs;
@@ -605,40 +559,27 @@ ReducePhaseResult JobRunner::RunReduceRange(
     size_t received_records = 0;
     uint64_t mismatches = 0;
     for (const MapTaskResult* mt : map_outputs) {
-      if (mt->batched) {
-        if (r >= static_cast<int>(mt->partitioned_batches.size())) continue;
-        const RecordBatch& b = mt->partitioned_batches[r];
-        received_bytes += b.payload_bytes();
-        received_records += b.size();
-        Checksum64 digest;
-        for (size_t i = 0; i < b.size(); ++i) {
-          ChecksumBatchRecord(&digest, b, i);
-          const uint32_t g = group_for(b.KeyHashAt(i), b.KeyAt(i));
-          ++groups[g].count;
-          group_of.push_back(g);
-          locs.push_back(Loc{&b, nullptr, static_cast<uint32_t>(i)});
-        }
-        if (r < static_cast<int>(mt->partition_checksums.size()) &&
-            digest.Digest() != mt->partition_checksums[r]) {
-          ++mismatches;
-        }
-      } else {
-        // A plan change may hand this phase map outputs from both paths.
-        if (r >= static_cast<int>(mt->partitioned_output.size())) continue;
-        for (const Record& rec : mt->partitioned_output[r]) {
-          received_bytes += rec.size_bytes();
-          ++received_records;
-          const uint32_t g = group_for(Hash64(rec.key), rec.key);
-          ++groups[g].count;
-          group_of.push_back(g);
-          locs.push_back(Loc{nullptr, &rec, 0});
-        }
+      if (r >= static_cast<int>(mt->partitioned_batches.size())) continue;
+      const RecordBatch& b = mt->partitioned_batches[r];
+      received_bytes += b.payload_bytes();
+      received_records += b.size();
+      Checksum64 digest;
+      for (size_t i = 0; i < b.size(); ++i) {
+        ChecksumBatchRecord(&digest, b, i);
+        const uint32_t g = group_for(b.KeyHashAt(i), b.KeyAt(i));
+        ++groups[g].count;
+        group_of.push_back(g);
+        locs.push_back(Loc{&b, static_cast<uint32_t>(i)});
+      }
+      if (r < static_cast<int>(mt->partition_checksums.size()) &&
+          digest.Digest() != mt->partition_checksums[r]) {
+        ++mismatches;
       }
     }
     // Lay the records out group-contiguously: prefix sums over the group
     // counts, then a scatter of arrival indices. Scattering in arrival
-    // order keeps values in arrival order within each group, matching the
-    // legacy gather byte for byte.
+    // order keeps each group's values in arrival order (map task order,
+    // then record order).
     uint32_t running = 0;
     for (Group& g : groups) {
       g.offset = running;
@@ -654,7 +595,7 @@ ReducePhaseResult JobRunner::RunReduceRange(
         grouped[cursor[group_of[a]]++] = a;
       }
     }
-    // Reducers consume keys in sorted order, matching the legacy gather.
+    // Reducers consume keys in sorted order.
     std::vector<uint32_t> ordered(groups.size());
     for (uint32_t i = 0; i < static_cast<uint32_t>(ordered.size()); ++i) {
       ordered[i] = i;
@@ -674,8 +615,7 @@ ReducePhaseResult JobRunner::RunReduceRange(
         config_.cpu_per_byte_sec * static_cast<double>(received_bytes) +
         config_.cpu_per_record_sec * static_cast<double>(received_records);
     auto materialize = [&locs](uint32_t arrival) {
-      const Loc& loc = locs[arrival];
-      return loc.batch ? loc.batch->MaterializeRecord(loc.index) : *loc.rec;
+      return locs[arrival].batch->MaterializeRecord(locs[arrival].index);
     };
     if (job.reducer) {
       for (const uint32_t gi : ordered) {
@@ -702,79 +642,6 @@ ReducePhaseResult JobRunner::RunReduceRange(
       phase.task_counters[slot].Increment(kShuffleChecksumMismatch,
                                           static_cast<double>(mismatches));
     }
-
-    const uint64_t out_bytes = BytesOf(sink);
-    cpu += config_.cpu_per_byte_sec * static_cast<double>(out_bytes);
-    phase.outputs[slot].records = std::move(sink);
-    phase.output_bytes[slot] = out_bytes;
-
-    phase.base_durations[slot] =
-        config_.task_startup_sec + config_.TransferSeconds(received_bytes) +
-        cpu + ctx.sim_time() +
-        static_cast<double>(out_bytes) / config_.disk_bw_bytes_per_sec;
-    phase.durations[slot] =
-        ApplyFaults(phase.base_durations[slot], /*kind=*/1, r);
-    bags[slot] = ctx.TakeTaskState();
-  };
-
-  bool any_batched = false;
-  for (const MapTaskResult* mt : map_outputs) {
-    if (mt->batched) {
-      any_batched = true;
-      break;
-    }
-  }
-
-  auto run_reduce_task = [&](size_t slot) {
-    if (any_batched) {
-      run_reduce_task_batched(slot);
-      return;
-    }
-    const int r = begin + static_cast<int>(slot);
-    const int node = ReduceTaskNode(job, r);
-    phase.outputs[slot].node = node;
-
-    // Gather this bucket from every map task in task order. Grouping is a
-    // hash map (O(1) per record); reducers then iterate the keys in sorted
-    // order, matching the ordered-map grouping bit for bit.
-    std::unordered_map<std::string, std::vector<Record>> groups;
-    uint64_t received_bytes = 0;
-    size_t received_records = 0;
-    for (const MapTaskResult* mt : map_outputs) {
-      if (r >= static_cast<int>(mt->partitioned_output.size())) continue;
-      for (const Record& rec : mt->partitioned_output[r]) {
-        received_bytes += rec.size_bytes();
-        ++received_records;
-        groups[rec.key].push_back(rec);
-      }
-    }
-    std::vector<std::pair<const std::string, std::vector<Record>>*> ordered;
-    ordered.reserve(groups.size());
-    for (auto& kv : groups) ordered.push_back(&kv);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto* a, const auto* b) { return a->first < b->first; });
-
-    TaskContext ctx(node, r, &phase.task_counters[slot]);
-    std::vector<Record> sink;
-    StageChain chain(&job.reduce_stages, &ctx, &sink);
-    chain.Begin();
-    if (job.reducer) job.reducer->BeginTask(&ctx);
-
-    double cpu =
-        config_.cpu_per_byte_sec * static_cast<double>(received_bytes) +
-        config_.cpu_per_record_sec * static_cast<double>(received_records);
-    if (job.reducer) {
-      for (auto* kv : ordered) {
-        job.reducer->Reduce(kv->first, std::move(kv->second), &ctx,
-                            chain.EmitterInto(0));
-      }
-      job.reducer->EndTask(&ctx, chain.EmitterInto(0));
-    } else {
-      for (auto* kv : ordered) {
-        for (auto& v : kv->second) chain.Push(std::move(v));
-      }
-    }
-    chain.Finish();
 
     const uint64_t out_bytes = BytesOf(sink);
     cpu += config_.cpu_per_byte_sec * static_cast<double>(out_bytes);
@@ -879,14 +746,12 @@ JobResult JobRunner::RunOver(const JobConfig& job,
     result.output_bytes = reduce_phase.total_output_bytes();
     result.outputs = std::move(reduce_phase.outputs);
   } else {
-    // Map-only job: each map task's single bucket becomes an output split
-    // hosted where the task ran.
+    // Map-only job: each map task's output becomes an output split hosted
+    // where the task ran.
     for (auto& t : map_phase.tasks) {
       InputSplit split;
       split.node = t.node;
-      if (!t.partitioned_output.empty()) {
-        split.records = std::move(t.partitioned_output[0]);
-      }
+      split.records = std::move(t.output);
       result.outputs.push_back(std::move(split));
       result.output_bytes += t.output_bytes;
     }

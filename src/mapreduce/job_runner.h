@@ -59,16 +59,6 @@ class JobRunner {
   void set_obs(obs::ObsSession* session) { obs_ = session; }
   obs::ObsSession* obs() const { return obs_; }
 
-  /// Selects the shuffle representation for jobs with a reduce phase: true
-  /// (the default, overridable via EFIND_BATCH_SHUFFLE=0) moves map output
-  /// through contiguous `RecordBatch` buffers with the fused
-  /// partition+checksum+accounting sweep; false keeps the legacy
-  /// record-at-a-time `std::vector<Record>` path. Outputs and simulated
-  /// times are identical either way — only wall-clock cost and the
-  /// `efind.alloc.*` / `mr.shuffle.*` counters differ.
-  void set_batch_shuffle(bool on) { batch_shuffle_ = on; }
-  bool batch_shuffle() const { return batch_shuffle_; }
-
   /// Runs the whole job: map phase over `input`, then (if a reducer is
   /// configured) shuffle + reduce phase. `input` is caller-owned and only
   /// read: map tasks copy each record into their stage chains.
@@ -83,11 +73,6 @@ class JobRunner {
   /// so no record is copied and nothing is left to tear down after the job.
   /// Outputs, counters and simulated times equal the borrowed overloads'.
   JobResult Run(const JobConfig& job, std::vector<InputSplit>&& input);
-
-  /// Executes one map task over `split` as task `task_index`. The task is
-  /// placed on `split.node` unless the job requests remote input.
-  MapTaskResult RunMapTask(const JobConfig& job, const InputSplit& split,
-                           int task_index);
 
   /// Executes map tasks for splits [begin, end) and schedules them.
   MapPhaseResult RunMapPhase(const JobConfig& job,
@@ -152,19 +137,29 @@ class JobRunner {
                                  const std::vector<Split*>& input,
                                  size_t begin, size_t end);
 
-  /// RunMapTask with the task's deferred state handed back to the caller
-  /// instead of merged immediately (the engine merges bags in task order).
+  /// Executes one map task over `split` as task `task_index`, on
+  /// `split.node`, handing its deferred state back in `bag` (the engine
+  /// merges bags in task order). A map-only job's task keeps its stage
+  /// output as `MapTaskResult::output`; any other goes through
+  /// RunMapTaskBatched.
   template <typename Split>
   MapTaskResult RunMapTaskDeferred(const JobConfig& job, Split& split,
                                    int task_index, TaskStateBag* bag);
 
-  /// Batched variant of RunMapTaskDeferred: stage output lands in an
+  /// The map task of a job with a reduce phase: stage output lands in an
   /// arena-backed contiguous batch, then one fused sweep partitions it into
-  /// per-bucket heap batches while computing content digests and byte
+  /// per-bucket batches while computing content digests and byte
   /// accounting (DESIGN.md §11).
   template <typename Split>
   MapTaskResult RunMapTaskBatched(const JobConfig& job, Split& split,
                                   int task_index, TaskStateBag* bag);
+
+  /// Shared tail of both map task bodies: the simulated duration from the
+  /// task's byte totals, its accumulated `cpu` charge and the time its
+  /// stages charged to `ctx`, then the task's state into `bag`.
+  void FinishMapTask(const JobConfig& job, double cpu, int task_index,
+                     TaskContext* ctx, MapTaskResult* result,
+                     TaskStateBag* bag) const;
 
   /// Executes `body(i)` for every i in [0, count). Tasks sharing a strand
   /// key run serially in ascending i on one thread; distinct strands run
@@ -174,7 +169,6 @@ class JobRunner {
 
   ClusterConfig config_;
   int num_threads_ = 0;
-  bool batch_shuffle_ = true;  // Constructor resolves EFIND_BATCH_SHUFFLE.
   obs::ObsSession* obs_ = nullptr;
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -133,7 +133,7 @@ class RecordBatch {
 
   /// Rebuilds record `i` as an owning `Record`.
   Record MaterializeRecord(size_t i) const;
-  /// Materializes the whole batch (conversion boundary to the legacy path).
+  /// Materializes the whole batch as owning records.
   std::vector<Record> ToRecords() const;
   static RecordBatch FromRecords(const std::vector<Record>& records,
                                  Arena* arena = nullptr);

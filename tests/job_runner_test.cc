@@ -296,8 +296,8 @@ TEST(JobRunnerTest, ReduceStagesRunAfterReducer) {
 // each record into its stage chain and releases the split inside the map
 // task. Everything observable must equal the borrowed run over the same
 // splits, and the byte totals the tasks summed must equal the splits'
-// logical sizes — on both shuffle representations, map-only and with a
-// reduce side, with and without map stages (the stage-less fast path).
+// logical sizes — map-only and with a reduce side, with and without map
+// stages (the stage-less fast path).
 TEST(JobRunnerTest, OwnedInputMatchesBorrowedAndCarriesByteTotals) {
   std::vector<InputSplit> input = MakeInput(24, 30);
   int n = 0;
@@ -311,45 +311,40 @@ TEST(JobRunnerTest, OwnedInputMatchesBorrowedAndCarriesByteTotals) {
   }
   const uint64_t input_bytes = TotalSizeBytes(input);
   ClusterConfig config;
-  for (bool batch : {true, false}) {
-    for (int shape = 0; shape < 4; ++shape) {
-      JobConfig job;
-      if (shape != 3) job.map_stages.push_back(std::make_shared<FanOutStage>(2));
-      if (shape == 1 || shape == 3) {
-        job.reducer = std::make_shared<CountReducer>();
-      }
-      if (shape == 2) {
-        job.reduce_stages.push_back(std::make_shared<BufferStage>());
-      }
-      job.num_reduce_tasks = 7;
-      for (int threads : {1, 8}) {
-        const std::string what = "batch=" + std::to_string(batch) +
-                                 " shape=" + std::to_string(shape) +
-                                 " threads=" + std::to_string(threads);
-        JobRunner runner(config);
-        runner.set_num_threads(threads);
-        runner.set_batch_shuffle(batch);
-        const JobResult borrowed = runner.Run(job, input);
-        std::vector<InputSplit> owned = input;
-        const JobResult moved = runner.Run(job, std::move(owned));
-        EXPECT_TRUE(owned.empty()) << what;
+  for (int shape = 0; shape < 4; ++shape) {
+    JobConfig job;
+    if (shape != 3) job.map_stages.push_back(std::make_shared<FanOutStage>(2));
+    if (shape == 1 || shape == 3) {
+      job.reducer = std::make_shared<CountReducer>();
+    }
+    if (shape == 2) {
+      job.reduce_stages.push_back(std::make_shared<BufferStage>());
+    }
+    job.num_reduce_tasks = 7;
+    for (int threads : {1, 8}) {
+      const std::string what = "shape=" + std::to_string(shape) +
+                               " threads=" + std::to_string(threads);
+      JobRunner runner(config);
+      runner.set_num_threads(threads);
+      const JobResult borrowed = runner.Run(job, input);
+      std::vector<InputSplit> owned = input;
+      const JobResult moved = runner.Run(job, std::move(owned));
+      EXPECT_TRUE(owned.empty()) << what;
 
-        EXPECT_EQ(moved.sim_seconds, borrowed.sim_seconds) << what;
-        EXPECT_EQ(moved.map_task_durations, borrowed.map_task_durations)
+      EXPECT_EQ(moved.sim_seconds, borrowed.sim_seconds) << what;
+      EXPECT_EQ(moved.map_task_durations, borrowed.map_task_durations)
+          << what;
+      EXPECT_EQ(moved.counters.values(), borrowed.counters.values()) << what;
+      ASSERT_EQ(moved.outputs.size(), borrowed.outputs.size()) << what;
+      for (size_t i = 0; i < moved.outputs.size(); ++i) {
+        EXPECT_EQ(moved.outputs[i].node, borrowed.outputs[i].node) << what;
+        EXPECT_EQ(moved.outputs[i].records, borrowed.outputs[i].records)
             << what;
-        EXPECT_EQ(moved.counters.values(), borrowed.counters.values())
-            << what;
-        ASSERT_EQ(moved.outputs.size(), borrowed.outputs.size()) << what;
-        for (size_t i = 0; i < moved.outputs.size(); ++i) {
-          EXPECT_EQ(moved.outputs[i].node, borrowed.outputs[i].node) << what;
-          EXPECT_EQ(moved.outputs[i].records, borrowed.outputs[i].records)
-              << what;
-        }
-        for (const JobResult* r : {&borrowed, &moved}) {
-          EXPECT_EQ(r->input_bytes, input_bytes) << what;
-          EXPECT_EQ(r->output_bytes, TotalSizeBytes(r->outputs)) << what;
-          EXPECT_GT(r->output_bytes, 0u) << what;
-        }
+      }
+      for (const JobResult* r : {&borrowed, &moved}) {
+        EXPECT_EQ(r->input_bytes, input_bytes) << what;
+        EXPECT_EQ(r->output_bytes, TotalSizeBytes(r->outputs)) << what;
+        EXPECT_GT(r->output_bytes, 0u) << what;
       }
     }
   }

@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "mapreduce/job_runner.h"
 #include "reuse/materialized_store.h"
+#include "tests/reference_shuffle.h"
 
 namespace efind {
 namespace {
@@ -190,7 +191,23 @@ class WordLengthReducer : public Reducer {
   }
 };
 
-TEST(RecordBatchTest, BatchedShuffleMatchesLegacyByteForByte) {
+// Output splits, node by node and record by record, against the reference.
+void ExpectMatchesReference(const JobResult& result, const JobConfig& job,
+                            const std::vector<InputSplit>& input,
+                            const ClusterConfig& config) {
+  const std::vector<InputSplit> expected =
+      testing_util::ReferenceShuffle(job, input, config);
+  ASSERT_EQ(result.outputs.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(result.outputs[i].node, expected[i].node) << "split " << i;
+    EXPECT_EQ(result.outputs[i].records, expected[i].records) << "split " << i;
+  }
+  // Content digests agree too (same framing as the reuse store).
+  EXPECT_EQ(reuse::ChecksumSplits(result.outputs),
+            reuse::ChecksumSplits(expected));
+}
+
+TEST(RecordBatchTest, ShuffleMatchesReferenceByteForByte) {
   std::vector<InputSplit> input(6);
   Rng rng(7);
   for (int s = 0; s < 6; ++s) {
@@ -205,37 +222,26 @@ TEST(RecordBatchTest, BatchedShuffleMatchesLegacyByteForByte) {
   job.num_reduce_tasks = 5;
 
   ClusterConfig config;
-  JobRunner batched(config);
-  batched.set_batch_shuffle(true);
-  JobRunner legacy(config);
-  legacy.set_batch_shuffle(false);
+  JobRunner runner(config);
+  const JobResult a = runner.Run(job, input);
 
-  const JobResult a = batched.Run(job, input);
-  const JobResult b = legacy.Run(job, input);
-
-  EXPECT_DOUBLE_EQ(a.sim_seconds, b.sim_seconds);
-  EXPECT_DOUBLE_EQ(a.map_seconds, b.map_seconds);
-  EXPECT_DOUBLE_EQ(a.reduce_seconds, b.reduce_seconds);
-  ASSERT_EQ(a.outputs.size(), b.outputs.size());
-  for (size_t i = 0; i < a.outputs.size(); ++i) {
-    EXPECT_EQ(a.outputs[i].node, b.outputs[i].node);
-    EXPECT_EQ(a.outputs[i].records, b.outputs[i].records);
-  }
-  // Content digests agree too (same framing as the reuse store).
-  EXPECT_EQ(reuse::ChecksumSplits(a.outputs), reuse::ChecksumSplits(b.outputs));
-  // The batched run reports its shuffle telemetry; zero integrity failures.
+  // Simulated seconds taken on the engine that kept a per-record shuffle
+  // beside the batched one (both agreed).
+  EXPECT_EQ(a.sim_seconds, 0.018048438);
+  EXPECT_EQ(a.map_seconds, 0.0097568080000000005);
+  EXPECT_EQ(a.reduce_seconds, 0.0082916300000000012);
+  ExpectMatchesReference(a, job, input, config);
+  // The shuffle reports its telemetry; zero integrity failures.
   EXPECT_GT(a.counters.Get("mr.shuffle.records"), 0.0);
   EXPECT_GT(a.counters.Get("efind.alloc.bytes"), 0.0);
   EXPECT_GT(a.counters.Get("efind.alloc.count"), 0.0);
   EXPECT_EQ(a.counters.Get("mr.shuffle.checksum_mismatch"), 0.0);
-  EXPECT_FALSE(b.counters.Has("mr.shuffle.records"));
 }
 
-// The salting partitioner (DESIGN.md §12) through both shuffle engines:
-// bucket contents must be byte-identical batched vs legacy (the per-task
-// SaltCycler sees the same record order on both paths), and the hot key's
-// records must actually spread across several reduce tasks.
-TEST(RecordBatchTest, SaltingPartitionerMatchesLegacyAndSpreadsHotKey) {
+// The salting partitioner (DESIGN.md §12): bucket contents must equal the
+// reference's (the per-task SaltCycler sees records in split order), and the
+// hot key's records must actually spread across several reduce tasks.
+TEST(RecordBatchTest, SaltingPartitionerMatchesReferenceAndSpreadsHotKey) {
   std::vector<InputSplit> input(6);
   Rng rng(11);
   for (int s = 0; s < 6; ++s) {
@@ -254,19 +260,11 @@ TEST(RecordBatchTest, SaltingPartitionerMatchesLegacyAndSpreadsHotKey) {
       /*fanout=*/3);
 
   ClusterConfig config;
-  JobRunner batched(config);
-  batched.set_batch_shuffle(true);
-  JobRunner legacy(config);
-  legacy.set_batch_shuffle(false);
-  const JobResult a = batched.Run(job, input);
-  const JobResult b = legacy.Run(job, input);
+  JobRunner runner(config);
+  const JobResult a = runner.Run(job, input);
 
-  EXPECT_DOUBLE_EQ(a.sim_seconds, b.sim_seconds);
-  ASSERT_EQ(a.outputs.size(), b.outputs.size());
-  for (size_t i = 0; i < a.outputs.size(); ++i) {
-    EXPECT_EQ(a.outputs[i].node, b.outputs[i].node);
-    EXPECT_EQ(a.outputs[i].records, b.outputs[i].records);
-  }
+  EXPECT_EQ(a.sim_seconds, 0.014079715999999999);  // Taken as above.
+  ExpectMatchesReference(a, job, input, config);
   EXPECT_EQ(a.counters.Get("mr.shuffle.checksum_mismatch"), 0.0);
 
   // The hot key reduces in several tasks: its reduced record (one per
@@ -284,7 +282,7 @@ TEST(RecordBatchTest, SaltingPartitionerMatchesLegacyAndSpreadsHotKey) {
   EXPECT_GE(splits_with_hot, 2) << "salting failed to spread the hot key";
 }
 
-TEST(RecordBatchTest, PassThroughReducePhaseMatchesLegacy) {
+TEST(RecordBatchTest, PassThroughReducePhaseMatchesReference) {
   std::vector<InputSplit> input(4);
   for (int s = 0; s < 4; ++s) {
     input[s].node = s;
@@ -307,17 +305,10 @@ TEST(RecordBatchTest, PassThroughReducePhaseMatchesLegacy) {
   job.reduce_stages.push_back(std::make_shared<Tag>());
 
   ClusterConfig config;
-  JobRunner batched(config);
-  batched.set_batch_shuffle(true);
-  JobRunner legacy(config);
-  legacy.set_batch_shuffle(false);
-  const JobResult a = batched.Run(job, input);
-  const JobResult b = legacy.Run(job, input);
-  EXPECT_DOUBLE_EQ(a.sim_seconds, b.sim_seconds);
-  ASSERT_EQ(a.outputs.size(), b.outputs.size());
-  for (size_t i = 0; i < a.outputs.size(); ++i) {
-    EXPECT_EQ(a.outputs[i].records, b.outputs[i].records);
-  }
+  JobRunner runner(config);
+  const JobResult a = runner.Run(job, input);
+  EXPECT_EQ(a.sim_seconds, 0.012965384);  // Taken as above.
+  ExpectMatchesReference(a, job, input, config);
 }
 
 }  // namespace
