@@ -8,7 +8,11 @@
 // re-partitioning, index-locality and salted plans, the statically optimized
 // plan and the adaptive runtime, at threads 1 and 4. The re-partitioning,
 // index-locality and salted plans put a shuffle job in front of the join;
-// Q9 and the log job also shuffle into their own reducers. The constants
+// Q9 and the log job also shuffle into their own reducers. A larger Q9
+// input, with more splits than the default cluster's map slots, pins the
+// adaptive runtime's mid-job plan change: the first wave's baseline map
+// outputs and the re-planned pipeline's outputs meet in one reduce. The
+// constants
 // were taken on the engine that still kept the per-record
 // `std::vector<Record>` shuffle beside the batched one, and both produced
 // them.
@@ -147,6 +151,11 @@ const std::vector<GoldenCase> kLogGolden = {
   {"dynamic", 0x07f47a145a62e2fdull, 0x3fd1750d9140b831ull},
 };
 
+// RunDynamic over more splits than map slots: the first wave is a strict
+// subset of the input, and the run re-plans after it.
+const GoldenCase kQ9ReplannedGolden = {"dynamic", 0x4fd6d2810f4ad655ull,
+                                        0x3fe0b88c5c806fcfull};
+
 // The workloads are stats_golden_test's.
 
 TEST(ShuffleGoldenTest, TpchQ9Dup10) {
@@ -159,6 +168,31 @@ TEST(ShuffleGoldenTest, TpchQ9Dup10) {
   o.dup_factor = 10;
   const TpchData data = GenerateTpch(o, ClusterConfig{}.num_nodes);
   ExpectGolden(MakeTpchQ9Job(data), data.lineitem, kQ9Golden);
+}
+
+TEST(ShuffleGoldenTest, TpchQ9Dup10Replanned) {
+  TpchOptions o;
+  o.num_orders = 1500;
+  o.num_customers = 400;
+  o.num_suppliers = 300;
+  o.num_parts = 600;
+  o.num_splits = 2 * ClusterConfig{}.total_map_slots();
+  o.dup_factor = 10;
+  const TpchData data = GenerateTpch(o, ClusterConfig{}.num_nodes);
+  const IndexJobConf conf = MakeTpchQ9Job(data);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EFindOptions options;
+    options.threads = threads;
+    EFindJobRunner runner(ClusterConfig{}, options);
+    const EFindRunResult r = runner.RunDynamic(conf, data.lineitem);
+    EXPECT_TRUE(r.replanned);
+    const GoldenCase actual = Pin("dynamic", r);
+    EXPECT_EQ(actual.checksum, kQ9ReplannedGolden.checksum)
+        << "actual:\n" << Describe({actual});
+    EXPECT_EQ(actual.sim_bits, kQ9ReplannedGolden.sim_bits)
+        << "actual:\n" << Describe({actual});
+  }
 }
 
 TEST(ShuffleGoldenTest, ZipfSyntheticJoin) {
