@@ -72,13 +72,16 @@
 #      with -DEFIND_SANITIZE=address and runs flat_index_test,
 #      lru_cache_test, kv_store_test, skew_detector_test, statistics_test,
 #      stages_test, store_accessor_test, lookup_golden_test,
-#      shuffle_golden_test and record_batch_test there — the flat
-#      open-addressing tables' backward-shift deletion and slot reuse are
-#      exactly the out-of-bounds class ASan catches, the lookup stages'
-#      single driver keeps records and batch handles alive across store
-#      flushes, and the shuffle's reduce gather reads map-side batches
-#      through string views into their tasks' arenas (use-after-free /
-#      leak class).
+#      shuffle_golden_test, record_batch_test and determinism_test there —
+#      the flat open-addressing tables' backward-shift deletion and slot
+#      reuse are exactly the out-of-bounds class ASan catches, the lookup
+#      stages' single driver keeps records and batch handles alive across
+#      store flushes, the shuffle's reduce gather reads map-side batches
+#      through string views into their tasks' arenas, and the stages
+#      recycle record attachments through each task's free list, whose
+#      ownership across job boundaries determinism_test's OwnershipTest
+#      checks (use-after-free / leak class). attachment_alloc_test
+#      replaces the global operator new and stays out of this leg.
 # Usage: scripts/verify.sh [build-dir]   (default: build)
 
 set -euo pipefail
@@ -163,7 +166,7 @@ fi
 ASAN_BUILD="$BUILD-asan"
 ASAN_TESTS=(flat_index_test lru_cache_test kv_store_test skew_detector_test
   statistics_test stages_test store_accessor_test lookup_golden_test
-  shuffle_golden_test record_batch_test)
+  shuffle_golden_test record_batch_test determinism_test)
 cmake -B "$ASAN_BUILD" -S . -DEFIND_SANITIZE=address
 cmake --build "$ASAN_BUILD" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
 for t in "${ASAN_TESTS[@]}"; do

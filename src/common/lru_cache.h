@@ -30,7 +30,7 @@ namespace efind {
 /// up through a `FlatIndex`. Storage grows with the live entries up to the
 /// capacity; from then on an insert reuses the evicted tail node, so a warm
 /// cache allocates nothing per miss (beyond what copying the key or value
-/// itself needs).
+/// into the node's existing capacity needs).
 template <typename Key, typename Value>
 class LruCache {
  public:
@@ -42,7 +42,8 @@ class LruCache {
   LruCache& operator=(const LruCache&) = delete;
 
   /// Looks up `key`; on a hit, moves the entry to the front (most recently
-  /// used), writes the value to `*value`, and returns true.
+  /// used), copy-assigns the value into `*value` (reusing its capacity), and
+  /// returns true. A miss leaves `*value` untouched.
   bool Get(const Key& key, Value* value) {
     ++probes_;
     const uint32_t n = Find(FlatKeyHash(key), key);
@@ -55,14 +56,15 @@ class LruCache {
     return true;
   }
 
-  /// Inserts or refreshes `key` with `value`, evicting the least recently
-  /// used entry if the cache is full.
-  void Put(const Key& key, Value value) {
+  /// Inserts or refreshes `key` with a copy of `value`, evicting the least
+  /// recently used entry if the cache is full. The copy is assigned into
+  /// the refreshed or recycled node, reusing its key and value capacity.
+  void Put(const Key& key, const Value& value) {
     if (capacity_ == 0) return;
     const uint64_t hash = FlatKeyHash(key);
     uint32_t n = Find(hash, key);
     if (n != FlatIndex::kNone) {
-      nodes_[n].value = std::move(value);
+      nodes_[n].value = value;
       MoveToFront(n);
       return;
     }
@@ -73,12 +75,12 @@ class LruCache {
       Unlink(n);
       Node& node = nodes_[n];
       node.key = key;
-      node.value = std::move(value);
+      node.value = value;
       node.hash = hash;
       index_.Insert(hash, n);
     } else {
       n = index_.Append(hash, nodes_.size(), HashOf());
-      nodes_.push_back(Node{key, std::move(value), hash, kNil, kNil});
+      nodes_.push_back(Node{key, value, hash, kNil, kNil});
     }
     PushFront(n);
   }

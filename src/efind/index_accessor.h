@@ -37,7 +37,9 @@ class IndexAccessor {
   /// Name for plan dumps and statistics (e.g. "kv:orders").
   virtual std::string name() const = 0;
 
-  /// Looks up index key `ik`, appending the result list {iv} to `*out`.
+  /// Looks up index key `ik`, replacing the contents of `*out` with the
+  /// result list {iv}. `*out` may hold an earlier lookup's results (the
+  /// lookup stages reuse result slots), so implementations clear it first.
   /// NotFound is a valid outcome (empty result list); other errors abort
   /// the job.
   virtual Status Lookup(const std::string& ik,

@@ -48,7 +48,8 @@ class IndexOperator {
 
   /// Extracts, for every configured index j, the key list {ik_j} from the
   /// input record, optionally modifying the record (e.g. projecting away
-  /// fields). `keys` arrives sized to the number of accessors.
+  /// fields). `keys` arrives sized to the number of accessors, every list
+  /// empty.
   virtual void PreProcess(Record* record, IndexKeyLists* keys) = 0;
 
   /// Combines the lookup results into zero or more output records

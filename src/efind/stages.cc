@@ -22,22 +22,20 @@ std::string RatioStr(double v) {
   return buf;
 }
 
-// Copy-on-write helper for the shared attachment. When this record holds
-// the only reference (the common case: PreProcess creates a fresh
-// attachment and downstream stages hand the record along one at a time),
-// the attachment is mutated in place; a genuinely shared one (records
-// still referenced by an input split or a shuffle batch) is deep-copied.
-// The uniqueness check is race-free: holding the sole reference means no
-// other thread has a handle to copy from.
+// Copy-on-write helper for a record's (non-null) attachment. When this
+// record holds the only reference (the common case: PreProcess takes the
+// attachment from the task's free list and downstream stages hand the
+// record along one at a time), the attachment is mutated in place; a
+// genuinely shared one (records still referenced by an input split or a
+// shuffle batch) is deep-copied. The uniqueness check is race-free:
+// holding the sole reference means no other thread has a handle to copy
+// from.
 std::shared_ptr<RecordAttachment> MutableAttachment(Record* record) {
-  if (record->attachment) {
-    if (record->attachment.use_count() == 1) {
-      return std::const_pointer_cast<RecordAttachment>(
-          std::move(record->attachment));
-    }
-    return std::make_shared<RecordAttachment>(*record->attachment);
+  if (record->attachment.use_count() == 1) {
+    return std::const_pointer_cast<RecordAttachment>(
+        std::move(record->attachment));
   }
-  return std::make_shared<RecordAttachment>();
+  return std::make_shared<RecordAttachment>(*record->attachment);
 }
 
 // Post-charge bookkeeping of a failure-aware lookup: failover/resilience
@@ -149,15 +147,15 @@ void ChargeLookup(const LookupSite& site, const std::string& ik, bool error,
   }
 }
 
-// Looks `ik` up synchronously where the record reaches it and charges it.
-CachedResult LookupNow(const LookupSite& site, const std::string& ik,
-                       bool local, double t0, TaskContext* ctx,
-                       OperatorTaskStats* stats) {
-  CachedResult result;
-  const Status status = site.accessor->Lookup(ik, &result);
+// Looks `ik` up synchronously where the record reaches it, into the
+// result slot `*out` (the accessor replaces its contents, keeping its
+// capacity), and charges it.
+void LookupNow(const LookupSite& site, const std::string& ik, bool local,
+               double t0, TaskContext* ctx, OperatorTaskStats* stats,
+               CachedResult* out) {
+  const Status status = site.accessor->Lookup(ik, out);
   ChargeLookup(site, ik, !status.ok() && !status.IsNotFound(), local, t0,
-               &result, ctx, stats);
-  return result;
+               out, ctx, stats);
 }
 
 // One flush's completions indexed by `ticket - base` (null where none came
@@ -276,14 +274,27 @@ void PreProcessStage::BeginTask(TaskContext* ctx) {
 
 void PreProcessStage::Process(Record record, TaskContext* ctx, Emitter* out) {
   const uint64_t input_bytes = record.size_bytes();
-  IndexKeyLists keys(op_->num_indices());
-  op_->PreProcess(&record, &keys);
-
-  auto attachment = MutableAttachment(&record);
-  attachment->keys = std::move(keys);
-  attachment->results.assign(op_->num_indices(), {});
-  for (int j = 0; j < op_->num_indices(); ++j) {
-    attachment->results[j].resize(attachment->keys[j].size());
+  const size_t m = static_cast<size_t>(op_->num_indices());
+  // A record arriving with an attachment (a prior pipeline's in-flight
+  // state) keeps it, copy-on-write, saved key included; any other record
+  // gets one from the task's free list. Either way every key and result
+  // list is emptied but keeps its capacity.
+  std::shared_ptr<RecordAttachment> attachment;
+  if (record.attachment) {
+    attachment = MutableAttachment(&record);
+  } else {
+    attachment = ctx->TakeAttachment();
+    attachment->saved_key.clear();
+    attachment->has_saved_key = false;
+  }
+  attachment->keys.resize(m);
+  for (auto& list : attachment->keys) list.clear();
+  op_->PreProcess(&record, &attachment->keys);
+  attachment->results.resize(m);
+  for (size_t j = 0; j < m; ++j) {
+    auto& results = attachment->results[j];
+    results.resize(attachment->keys[j].size());
+    for (CachedResult& slot : results) slot.clear();
   }
   record.attachment = std::move(attachment);
 
@@ -458,11 +469,8 @@ void InlineLookupStage::Process(Record record, TaskContext* ctx,
       ++batch_keys;
       if (cache != nullptr) {
         ctx->AddSimTime(config_->cache_probe_sec);
-        CachedResult cached;
-        bool hit = cache->Get(ik, &cached);
-        if (hit) {
-          results[i] = std::move(cached);
-        } else if (sb != nullptr) {
+        bool hit = cache->Get(ik, &results[i]);
+        if (!hit && sb != nullptr) {
           // A key still pending in this slot's batch is a hit as well (had
           // its miss resolved at once, the Put would precede this probe):
           // it rides the pending ticket.
@@ -495,7 +503,7 @@ void InlineLookupStage::Process(Record record, TaskContext* ctx,
         ++bs->total_pending;
         continue;
       }
-      results[i] = LookupNow(site, ik, /*local=*/false, lk_t0, ctx, stats);
+      LookupNow(site, ik, /*local=*/false, lk_t0, ctx, stats, &results[i]);
       if (cache != nullptr) cache->Put(ik, results[i]);
     }
   }
@@ -535,12 +543,11 @@ void InlineLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
     for (size_t i = 0; i < n; ++i) {
       const std::string& ik = sb.submitted[i];
       const double lk_t0 = ctx->sim_time();
-      CachedResult values;
-      const bool error = TakeCompletion(by_ticket[i], &values);
-      ChargeLookup(site, ik, error, /*local=*/false, lk_t0, &values, ctx,
+      CachedResult* values = &resolved[t][i];
+      const bool error = TakeCompletion(by_ticket[i], values);
+      ChargeLookup(site, ik, error, /*local=*/false, lk_t0, values, ctx,
                    stats);
-      if (cache != nullptr) cache->Put(ik, values);
-      resolved[t][i] = std::move(values);
+      if (cache != nullptr) cache->Put(ik, *values);
     }
     ChargePageBatch(store_counters_, site.index, outcome.distinct_pages,
                     outcome.uncoalesced_pages, n, config_, ctx, stats, obs_);
@@ -617,7 +624,8 @@ PostProcessStage::PostProcessStage(std::shared_ptr<IndexOperator> op,
                                    std::string counter_prefix)
     : op_(std::move(op)),
       runtime_(runtime),
-      counter_prefix_(std::move(counter_prefix)) {}
+      counter_prefix_(std::move(counter_prefix)),
+      no_results_(op_->num_indices()) {}
 
 std::string PostProcessStage::name() const {
   return counter_prefix_ + ".post";
@@ -650,27 +658,21 @@ class MeteringEmitter : public Emitter {
 
 void PostProcessStage::Process(Record record, TaskContext* ctx,
                                Emitter* out) {
-  IndexResultLists results;
-  if (record.attachment) {
-    if (record.attachment->has_saved_key) {
-      // Defensive: a record that skipped the grouped lookup still carries
-      // its original key.
-      record.key = record.attachment->saved_key;
-    }
-    if (record.attachment.use_count() == 1) {
-      // Sole owner: steal the result lists instead of deep-copying them.
-      auto owned = std::const_pointer_cast<RecordAttachment>(
-          std::move(record.attachment));
-      results = std::move(owned->results);
-    } else {
-      results = record.attachment->results;
-    }
+  // The operator reads the results in place; the record it sees has no
+  // attachment, so nothing it emits carries one on.
+  std::shared_ptr<const RecordAttachment> attachment =
+      std::move(record.attachment);
+  if (attachment != nullptr && attachment->has_saved_key) {
+    // Defensive: a record that skipped the grouped lookup still carries
+    // its original key.
+    record.key = attachment->saved_key;
   }
-  results.resize(op_->num_indices());
-  record.attachment = nullptr;
   MeteringEmitter metering(
       out, runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
-  op_->PostProcess(record, results, &metering);
+  op_->PostProcess(record,
+                   attachment != nullptr ? attachment->results : no_results_,
+                   &metering);
+  ctx->RecycleAttachment(std::move(attachment));
 }
 
 // ------------------------------------------------------------ shuffle key --
@@ -811,8 +813,8 @@ void GroupedLookupStage::Process(Record record, TaskContext* ctx,
         if (site_.batched != nullptr) {
           pr.tickets.push_back(bs->Submit(site_.batched, keys[i], false));
         } else {
-          results[i] = LookupNow(site_, keys[i], /*local=*/false,
-                                 ctx->sim_time(), ctx, stats);
+          LookupNow(site_, keys[i], /*local=*/false, ctx->sim_time(), ctx,
+                    stats, &results[i]);
         }
       }
       record.attachment = std::move(attachment);
@@ -838,7 +840,7 @@ void GroupedLookupStage::Process(Record record, TaskContext* ctx,
       pr.tickets.push_back(bs->run_ticket);
     } else {
       const double lk_t0 = ctx->sim_time();
-      bs->memo_result = LookupNow(site_, ik, local_, lk_t0, ctx, stats);
+      LookupNow(site_, ik, local_, lk_t0, ctx, stats, &bs->memo_result);
       TraceLookup(ctx, lk_t0, local_);
       bs->memo_valid = true;
       bs->memo_key = ik;
@@ -875,16 +877,15 @@ void GroupedLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
       const BatchState::Submitted& sub = bs->submitted[i];
       const bool local = local_ && sub.grouped;
       const double lk_t0 = ctx->sim_time();
-      CachedResult values;
-      const bool error = TakeCompletion(by_ticket[i], &values);
-      ChargeLookup(site_, sub.key, error, local, lk_t0, &values, ctx, stats);
+      CachedResult* values = &resolved[i];
+      const bool error = TakeCompletion(by_ticket[i], values);
+      ChargeLookup(site_, sub.key, error, local, lk_t0, values, ctx, stats);
       TraceLookup(ctx, lk_t0, local);
       if (sub.grouped) {
         bs->memo_valid = true;
         bs->memo_key = sub.key;
-        bs->memo_result = values;
+        bs->memo_result = *values;
       }
-      resolved[i] = std::move(values);
     }
     ChargePageBatch(store_counters_, index_, outcome.distinct_pages,
                     outcome.uncoalesced_pages, n, config_, ctx, stats, obs_);

@@ -61,7 +61,11 @@ class NodeCaches {
 };
 
 /// Runs `IndexOperator::PreProcess`, attaches the extracted key lists to the
-/// record, and feeds the operator's statistics collector.
+/// record, and feeds the operator's statistics collector. The attachment
+/// comes from the task's free list (`TaskContext::TakeAttachment`) with its
+/// key and result lists emptied; `PreProcess` writes straight into its key
+/// lists, and each result list gets one empty slot per key, which the
+/// lookup stages fill in place.
 class PreProcessStage : public RecordStage {
  public:
   PreProcessStage(std::shared_ptr<IndexOperator> op, OperatorRuntime* runtime,
@@ -219,8 +223,10 @@ class InlineLookupStage : public RecordStage {
   StoreCounters store_counters_;
 };
 
-/// Runs `IndexOperator::PostProcess` on the record plus its attached lookup
-/// results, strips the attachment, and meters output sizes.
+/// Strips the attachment, runs `IndexOperator::PostProcess` on the record
+/// and the attachment's lookup results (read in place), and meters output
+/// sizes. Then it hands the attachment back to the task's free list, which
+/// keeps it only when this stage held the sole reference.
 class PostProcessStage : public RecordStage {
  public:
   PostProcessStage(std::shared_ptr<IndexOperator> op,
@@ -234,6 +240,8 @@ class PostProcessStage : public RecordStage {
   std::shared_ptr<IndexOperator> op_;
   OperatorRuntime* runtime_;
   std::string counter_prefix_;
+  // One empty result list per index, for a record without an attachment.
+  const IndexResultLists no_results_;
 };
 
 /// Rekeys records by their (single) lookup key for index j, saving the

@@ -109,12 +109,40 @@ class TaskContext {
   /// mid-context-lifetime, e.g. unit tests).
   void FinalizeTaskState() { state_.Merge(); }
 
+  /// Takes an attachment from this task's free list, or a new one when the
+  /// list is empty. A recycled attachment still holds its last record's
+  /// contents, and with them the capacity of its key and result lists: the
+  /// taker resets every field it hands on.
+  std::shared_ptr<RecordAttachment> TakeAttachment() {
+    if (free_attachments_.empty()) return std::make_shared<RecordAttachment>();
+    std::shared_ptr<RecordAttachment> a = std::move(free_attachments_.back());
+    free_attachments_.pop_back();
+    return a;
+  }
+
+  /// Puts `attachment` on the free list when it is the only reference and
+  /// the list has room; otherwise just drops it. An attachment that another
+  /// record, batch or input split still holds is never recycled. The list
+  /// dies with the context, so nothing recycled outlives the task.
+  void RecycleAttachment(std::shared_ptr<const RecordAttachment> attachment) {
+    if (attachment.use_count() == 1 &&
+        free_attachments_.size() < kMaxFreeAttachments) {
+      free_attachments_.push_back(
+          std::const_pointer_cast<RecordAttachment>(std::move(attachment)));
+    }
+  }
+
  private:
+  // Bounds the free list: a task holds at most one attachment per chained
+  // operator plus a store flush's worth of buffered records at a time.
+  static constexpr size_t kMaxFreeAttachments = 64;
+
   int node_id_;
   int task_index_;
   Counters* counters_;
   double sim_time_ = 0.0;
   TaskStateBag state_;
+  std::vector<std::shared_ptr<RecordAttachment>> free_attachments_;
 };
 
 /// Sink for records produced by a stage or reducer.

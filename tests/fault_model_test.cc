@@ -163,7 +163,7 @@ class FixedHostAccessor : public IndexAccessor {
   std::string name() const override { return "fixed"; }
   Status Lookup(const std::string& ik,
                 std::vector<IndexValue>* out) override {
-    out->push_back(IndexValue(ik, 8));
+    out->assign(1, IndexValue(ik, 8));
     return Status::OK();
   }
   double ServiceSeconds(uint64_t) const override { return 1e-4; }

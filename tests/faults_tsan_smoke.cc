@@ -63,7 +63,7 @@ class SmokeAccessor : public IndexAccessor {
   std::string name() const override { return "smoke"; }
   Status Lookup(const std::string& ik,
                 std::vector<IndexValue>* out) override {
-    out->push_back(IndexValue(ik, ik.size() + 8));
+    out->assign(1, IndexValue(ik, ik.size() + 8));
     return Status::OK();
   }
   double ServiceSeconds(uint64_t result_bytes) const override {

@@ -14,7 +14,8 @@
 namespace efind {
 namespace {
 
-/// Fake index: value = "V(" + key + ")", counts lookups, fixed T_j.
+/// Fake index: value = "V(" + key + ")", counts lookups, fixed T_j. Like
+/// every accessor, it replaces the result slot's contents.
 class FakeAccessor : public IndexAccessor {
  public:
   std::string name() const override { return "fake"; }
@@ -27,6 +28,7 @@ class FakeAccessor : public IndexAccessor {
   int lookups = 0;
 
   static Status Serve(const std::string& ik, std::vector<IndexValue>* out) {
+    out->clear();
     if (ik == "err") return Status::Internal("boom");
     if (ik == "none") return Status::NotFound();
     out->emplace_back("V(" + ik + ")");
@@ -416,6 +418,82 @@ TEST(PostProcessStageTest, StripsAttachmentAndCallsOperator) {
   ASSERT_EQ(h.sink.records.size(), 1u);
   EXPECT_EQ(h.sink.records[0].value, "V(k1)");
   EXPECT_EQ(h.sink.records[0].attachment, nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Attachment recycling: PostProcess hands a record's attachment back to the
+// task's free list and PreProcess takes from it, but only an attachment the
+// stage held alone may be reused.
+
+void ExpectSameAttachment(const RecordAttachment& actual,
+                          const RecordAttachment& expected) {
+  EXPECT_EQ(actual.keys, expected.keys);
+  EXPECT_EQ(actual.results, expected.results);
+  EXPECT_EQ(actual.saved_key, expected.saved_key);
+  EXPECT_EQ(actual.has_saved_key, expected.has_saved_key);
+}
+
+TEST(AttachmentRecyclingTest, SoleOwnerAttachmentIsReused) {
+  StageHarness h;
+  PreProcessStage pre(h.op, nullptr, "efind.t");
+  PostProcessStage post(h.op, nullptr, "efind.t");
+  VectorEmitter mid;
+  pre.Process(Record("k1", "v"), &h.ctx, &mid);
+  const RecordAttachment* first = mid.records[0].attachment.get();
+  post.Process(std::move(mid.records[0]), &h.ctx, &h.sink);
+  pre.Process(Record("k2", "v"), &h.ctx, &mid);
+  ASSERT_EQ(mid.records.size(), 2u);
+  EXPECT_EQ(mid.records[1].attachment.get(), first);
+  // Reset for the new record: its own key, one empty result slot.
+  EXPECT_EQ(mid.records[1].attachment->keys,
+            (std::vector<std::vector<std::string>>{{"k2"}}));
+  ASSERT_EQ(mid.records[1].attachment->results.size(), 1u);
+  ASSERT_EQ(mid.records[1].attachment->results[0].size(), 1u);
+  EXPECT_TRUE(mid.records[1].attachment->results[0][0].empty());
+}
+
+TEST(AttachmentRecyclingTest, SharedAttachmentIsNeverRecycled) {
+  constexpr int kMoreRecords = 100;
+  StageHarness h;
+  PreProcessStage pre(h.op, nullptr, "efind.t");
+  InlineLookupStage lookup(h.op, {{0, true}}, nullptr, &h.config, 16,
+                           "efind.t");
+  PostProcessStage post(h.op, nullptr, "efind.t");
+  // An input split's record with in-flight state, and a second copy of it.
+  InputSplit split;
+  {
+    Record rec("held", "v");
+    auto a = std::make_shared<RecordAttachment>();
+    a->keys = {{"held"}};
+    a->results = {{{IndexValue("V(held)")}}};
+    a->saved_key = "orig";
+    a->has_saved_key = true;
+    rec.attachment = std::move(a);
+    split.records.push_back(std::move(rec));
+  }
+  const RecordAttachment expected = *split.records[0].attachment;
+  const Record copy = split.records[0];
+
+  // The shared attachment reaches PostProcess, then PreProcess (which must
+  // copy it before writing), then N more records cycle through the chain
+  // and write keys and results into whatever attachments they get.
+  post.Process(split.records[0], &h.ctx, &h.sink);
+  pre.Process(copy, &h.ctx, &h.sink);
+  for (int i = 0; i < kMoreRecords; ++i) {
+    VectorEmitter after_pre, after_lookup;
+    pre.Process(Record("k" + std::to_string(i), "v"), &h.ctx, &after_pre);
+    ASSERT_EQ(after_pre.records.size(), 1u);
+    EXPECT_NE(after_pre.records[0].attachment.get(),
+              split.records[0].attachment.get());
+    lookup.Process(std::move(after_pre.records[0]), &h.ctx, &after_lookup);
+    ASSERT_EQ(after_lookup.records.size(), 1u);
+    post.Process(std::move(after_lookup.records[0]), &h.ctx, &h.sink);
+  }
+  ASSERT_EQ(h.sink.records.size(), static_cast<size_t>(kMoreRecords + 2));
+  EXPECT_EQ(h.sink.records.back().value, "V(k99)");
+  ExpectSameAttachment(*split.records[0].attachment, expected);
+  ExpectSameAttachment(*copy.attachment, expected);
+  EXPECT_EQ(split.records[0].attachment, copy.attachment);
 }
 
 TEST(SchemePartitionerTest, DelegatesToScheme) {
