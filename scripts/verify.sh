@@ -72,7 +72,8 @@
 #      with -DEFIND_SANITIZE=address and runs flat_index_test,
 #      lru_cache_test, kv_store_test, skew_detector_test, statistics_test,
 #      stages_test, store_accessor_test, lookup_golden_test,
-#      shuffle_golden_test, record_batch_test and determinism_test there —
+#      shuffle_golden_test, record_batch_test, determinism_test and
+#      packed_store_test there —
 #      the flat open-addressing tables' backward-shift deletion and slot
 #      reuse are exactly the out-of-bounds class ASan catches, the lookup
 #      stages' single driver keeps records and batch handles alive across
@@ -80,7 +81,10 @@
 #      through string views into their tasks' arenas, and the stages
 #      recycle record attachments through each task's free list, whose
 #      ownership across job boundaries determinism_test's OwnershipTest
-#      checks (use-after-free / leak class). attachment_alloc_test
+#      checks (use-after-free / leak class), and packed-store lookups
+#      decode in place from page buffers, so packed_store_test's seeded
+#      byte flips in a data file under an open store must stay in bounds.
+#      attachment_alloc_test
 #      replaces the global operator new and stays out of this leg.
 # Usage: scripts/verify.sh [build-dir]   (default: build)
 
@@ -166,7 +170,7 @@ fi
 ASAN_BUILD="$BUILD-asan"
 ASAN_TESTS=(flat_index_test lru_cache_test kv_store_test skew_detector_test
   statistics_test stages_test store_accessor_test lookup_golden_test
-  shuffle_golden_test record_batch_test determinism_test)
+  shuffle_golden_test record_batch_test determinism_test packed_store_test)
 cmake -B "$ASAN_BUILD" -S . -DEFIND_SANITIZE=address
 cmake --build "$ASAN_BUILD" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
 for t in "${ASAN_TESTS[@]}"; do

@@ -75,25 +75,7 @@ class PackedStoreBatchHandle : public BatchedLookupHandle {
     return queue_.Submit(ik);
   }
   size_t pending() const override { return queue_.pending(); }
-  BatchedLookupOutcome Flush() override {
-    store::FlushOutcome raw = queue_.Flush();
-    BatchedLookupOutcome out;
-    out.distinct_pages = raw.distinct_pages;
-    out.uncoalesced_pages = raw.uncoalesced_pages;
-    out.completions.reserve(raw.completions.size());
-    for (store::LookupCompletion& c : raw.completions) {
-      BatchedLookupCompletion bc;
-      bc.ticket = c.ticket;
-      bc.found = c.found;
-      bc.error = c.error;
-      bc.values = std::move(c.values);
-      bc.pages = c.pages;
-      bc.partition = c.partition;
-      bc.first_block = c.first_block;
-      out.completions.push_back(std::move(bc));
-    }
-    return out;
-  }
+  BatchedLookupOutcome Flush() override { return queue_.Flush(); }
 
  private:
   store::BatchedLookupQueue queue_;

@@ -13,6 +13,7 @@
 #include "common/partition_scheme.h"
 #include "common/status.h"
 #include "mapreduce/record.h"
+#include "store/lookup_queue.h"
 
 namespace efind {
 
@@ -75,31 +76,10 @@ class IndexAccessor {
   virtual uint64_t VersionFingerprint() const { return 0; }
 };
 
-/// One completed lookup from a batched index (DESIGN.md §13). Tickets are
-/// submit indices on the owning handle; (partition, first_block, ticket) is
-/// the fixed out-of-order completion order.
-struct BatchedLookupCompletion {
-  uint64_t ticket = 0;
-  bool found = false;
-  /// Non-NotFound failure; `values` is empty.
-  bool error = false;
-  std::vector<IndexValue> values;
-  /// Pages this lookup touches when served alone.
-  uint64_t pages = 0;
-  int partition = -1;
-  uint64_t first_block = 0;
-};
-
-/// Aggregate result of one flush. `distinct_pages` (what the batch read
-/// after same-page coalescing) vs `uncoalesced_pages` (the serial cost of
-/// the same lookups) feeds the page-read cost term and the
-/// `efind.store.*` counters.
-struct BatchedLookupOutcome {
-  /// Sorted by (partition, first_block, ticket) — deterministic.
-  std::vector<BatchedLookupCompletion> completions;
-  uint64_t distinct_pages = 0;
-  uint64_t uncoalesced_pages = 0;
-};
+/// One completed lookup from a batched index and the aggregate result of
+/// one flush (DESIGN.md §13): the store layer's types, used as they are.
+using BatchedLookupCompletion = store::LookupCompletion;
+using BatchedLookupOutcome = store::FlushOutcome;
 
 /// A batch of outstanding lookups against one index. Obtained from
 /// `BatchedLookupIndex::NewBatch`; task-confined (not thread-safe).

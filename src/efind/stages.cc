@@ -580,9 +580,17 @@ void InlineLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
     // Drain the tail batch before the obs snapshot so its page reads and
     // cache puts are part of this task's record.
     auto* bs = static_cast<BatchState*>(ctx->FindTaskState(&tasks_));
-    if (bs != nullptr && (!bs->buffered.empty() || bs->total_pending > 0)) {
-      FlushBatch(bs, ctx, out,
-                 runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
+    if (bs != nullptr) {
+      if (!bs->buffered.empty() || bs->total_pending > 0) {
+        FlushBatch(bs, ctx, out,
+                   runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
+      }
+      // The handles and their page buffers die with the task; the task
+      // state itself lives on until the phase merges its bags.
+      for (BatchState::SlotBatch& sb : bs->slots) {
+        sb.handle.reset();
+        sb.ticket_base = 0;
+      }
     }
   }
   // Cache hit/miss snapshot at end of task: the node cache is shared by the
@@ -917,9 +925,15 @@ void GroupedLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
 
 void GroupedLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
   auto* bs = static_cast<BatchState*>(ctx->FindTaskState(&index_));
-  if (bs == nullptr || (bs->buffered.empty() && bs->submitted.empty())) return;
-  FlushBatch(bs, ctx, out,
-             runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
+  if (bs == nullptr) return;
+  if (!bs->buffered.empty() || !bs->submitted.empty()) {
+    FlushBatch(bs, ctx, out,
+               runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
+  }
+  // The handle and its page buffers die with the task; the task state
+  // itself lives on until the phase merges its bags.
+  bs->handle.reset();
+  bs->ticket_base = 0;
 }
 
 // -------------------------------------------------------------- map meter --

@@ -6,6 +6,11 @@
 // results in place and recycles the attachment. Keys and values fit in the
 // small-string buffer, so any allocation left is the engine's own.
 //
+// The packed store's batched flush has the same contract: once a batch
+// handle is warm, a flush reads its pages into buffers the handle already
+// owns and decodes in place, so it allocates nothing per page read and
+// nothing per lookup beyond the value lists it returns.
+//
 // The binary replaces the global `operator new` with a counting one, so it
 // stays out of the AddressSanitizer leg.
 
@@ -23,6 +28,7 @@
 #include "efind/stages.h"
 #include "kvstore/kv_store.h"
 #include "mapreduce/stage_chain.h"
+#include "store/packed_store.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -136,6 +142,52 @@ TEST(AttachmentAllocTest, WarmTaskWithCacheDoesNotAllocatePerRecord) {
   EXPECT_GT(lookups, static_cast<double>(kKeys));
   EXPECT_DOUBLE_EQ(hits + lookups, kWarmRecords + kMeasuredRecords);
   ExpectAllocationFree(run);
+}
+
+TEST(AttachmentAllocTest, WarmPackedStoreFlushAllocatesOnlyValueLists) {
+  store::PackedStoreOptions options;
+  options.dir = ::testing::TempDir() + "efind_alloc_packed_store";
+  options.page_bytes = 512;  // Several pages per partition.
+  options.num_partitions = 4;
+  options.num_nodes = 3;
+  store::PackedStoreBuilder builder(options);
+  for (int k = 0; k < 600; ++k) {
+    builder.Add("k" + std::to_string(k), IndexValue("v" + std::to_string(k)));
+  }
+  std::string error;
+  const auto packed = builder.Build(&error);
+  ASSERT_NE(packed, nullptr) << error;
+  PackedStoreAccessor accessor("alloc", packed.get());
+  const std::unique_ptr<BatchedLookupHandle> handle = accessor.NewBatch();
+
+  // 14 keys spread over the partitions plus 2 absent ones: 16 lookups.
+  std::vector<std::string> keys;
+  for (int k = 0; k < 14; ++k) keys.push_back("k" + std::to_string(k * 41));
+  keys.push_back("absent1");
+  keys.push_back("absent2");
+  auto flush = [&] {
+    for (const std::string& key : keys) handle->Submit(key);
+    return handle->Flush();
+  };
+  const BatchedLookupOutcome warm = flush();
+  ASSERT_EQ(warm.completions.size(), keys.size());
+
+  const uint64_t before = g_allocations.load();
+  const BatchedLookupOutcome outcome = flush();
+  const uint64_t allocations = g_allocations.load() - before;
+  ASSERT_EQ(outcome.completions.size(), keys.size());
+  uint64_t value_lists = 0;
+  for (const BatchedLookupCompletion& c : outcome.completions) {
+    EXPECT_FALSE(c.error);
+    if (!c.values.empty()) ++value_lists;
+  }
+  EXPECT_EQ(value_lists, 14u);
+  EXPECT_EQ(outcome.distinct_pages, warm.distinct_pages);
+  EXPECT_GT(outcome.distinct_pages, 4u);
+  // One completion list, then one value list per found key.
+  EXPECT_LE(allocations, 1 + value_lists)
+      << allocations << " allocations for " << keys.size() << " lookups over "
+      << outcome.distinct_pages << " pages";
 }
 
 }  // namespace
